@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 import tempfile
@@ -268,6 +269,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if not 0.0 <= getattr(args, "threshold", 0.0) <= 1.0:
         print("--threshold must be in [0, 1]", file=sys.stderr)
+        return 2
+    if not 0.0 <= getattr(args, "min_gain", 0.0) < math.inf:
+        print("--min-gain must be a finite number >= 0", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 
 from .corpus import Label, QuestionDataset, Sample
 
@@ -72,6 +75,12 @@ class DecisionTree:
 
     def vocabulary(self) -> frozenset[str]:
         """All words tested anywhere in the tree."""
+        return self._vocabulary
+
+    # Computed on first use and kept in the instance dict: not a dataclass
+    # field, so it stays out of __eq__, __hash__ and __repr__.
+    @cached_property
+    def _vocabulary(self) -> frozenset[str]:
         words: set[str] = set()
         stack = [self.root]
         while stack:
@@ -173,6 +182,40 @@ def _class_counts(samples: list[Sample] | tuple[Sample, ...]) -> tuple[int, int]
     return correct, len(samples) - correct
 
 
+def _split_from_counts(
+    word: str,
+    true_correct: int,
+    true_size: int,
+    correct: int,
+    total: int,
+    current_entropy: float,
+) -> SplitEvaluation:
+    """Score a split from its class counts: the one place the gain formula
+    lives. ``true_*`` count the samples containing ``word``; ``correct`` and
+    ``total`` count all of them."""
+    false_size = total - true_size
+    false_correct = correct - true_correct
+    true_entropy = entropy(true_correct, true_size - true_correct) if true_size else 0.0
+    false_entropy = (
+        entropy(false_correct, false_size - false_correct) if false_size else 0.0
+    )
+    if not true_size or not false_size:
+        # A vacuous split leaves the set intact; keep the gain exactly zero
+        # rather than letting the weighted average round off by an ulp.
+        split_entropy = current_entropy
+    else:
+        split_entropy = (true_size * true_entropy + false_size * false_entropy) / total
+    return SplitEvaluation(
+        word=word,
+        true_size=true_size,
+        false_size=false_size,
+        true_entropy=true_entropy,
+        false_entropy=false_entropy,
+        split_entropy=split_entropy,
+        gain=current_entropy - split_entropy,
+    )
+
+
 def evaluate_split(
     samples: list[Sample] | tuple[Sample, ...], word: str, current_entropy: float
 ) -> SplitEvaluation:
@@ -180,26 +223,13 @@ def evaluate_split(
     if not samples:
         raise ValueError("cannot evaluate a split of zero samples")
     true_side = [s for s in samples if word in s.features]
-    false_side = [s for s in samples if word not in s.features]
-    true_entropy = entropy(*_class_counts(true_side)) if true_side else 0.0
-    false_entropy = entropy(*_class_counts(false_side)) if false_side else 0.0
-    total = len(samples)
-    if not true_side or not false_side:
-        # A vacuous split leaves the set intact; keep the gain exactly zero
-        # rather than letting the weighted average round off by an ulp.
-        split_entropy = current_entropy
-    else:
-        split_entropy = (
-            len(true_side) * true_entropy + len(false_side) * false_entropy
-        ) / total
-    return SplitEvaluation(
-        word=word,
-        true_size=len(true_side),
-        false_size=len(false_side),
-        true_entropy=true_entropy,
-        false_entropy=false_entropy,
-        split_entropy=split_entropy,
-        gain=current_entropy - split_entropy,
+    return _split_from_counts(
+        word,
+        _class_counts(true_side)[0],
+        len(true_side),
+        _class_counts(samples)[0],
+        len(samples),
+        current_entropy,
     )
 
 
@@ -211,18 +241,53 @@ def select_best_rule(
 ) -> tuple[str, SplitEvaluation] | None:
     """Pick the candidate word with the greatest information gain.
 
-    Returns None when no candidate gains more than ``min_gain``. Iterating in
+    One pass over ``samples`` counts, per word, the samples containing it and
+    how many of those are correct; every candidate is then scored from those
+    two counts. Returns None when no candidate gains more than ``min_gain``.
+    A word present in all samples or in none never splits. Iterating in
     sorted order with a strict comparison makes ties resolve to the
     lexicographically smallest word.
     """
-    best: SplitEvaluation | None = None
+    correct_sets: list[frozenset[str]] = []
+    incorrect_sets: list[frozenset[str]] = []
+    for s in samples:
+        if s.label is Label.CORRECT:
+            correct_sets.append(s.features)
+        else:
+            incorrect_sets.append(s.features)
+    in_correct = Counter(chain.from_iterable(correct_sets))
+    in_incorrect = Counter(chain.from_iterable(incorrect_sets))
+    correct = len(correct_sets)
+    total = len(samples)
+    # Many words share their counts (most occur once), so score each distinct
+    # (true_correct, true_size) pair once.
+    gains: dict[tuple[int, int], float] = {}
+    best_word: str | None = None
+    best_gain = 0.0
     for word in sorted(candidate_words):
-        evaluation = evaluate_split(samples, word, current_entropy)
-        if best is None or evaluation.gain > best.gain:
-            best = evaluation
-    if best is None or best.gain <= min_gain + GAIN_TOLERANCE:
+        true_correct = in_correct.get(word, 0)
+        true_size = true_correct + in_incorrect.get(word, 0)
+        if true_size == 0 or true_size == total:
+            continue
+        key = (true_correct, true_size)
+        gain = gains.get(key)
+        if gain is None:
+            gain = gains[key] = _split_from_counts(
+                word, true_correct, true_size, correct, total, current_entropy
+            ).gain
+        if best_word is None or gain > best_gain:
+            best_word, best_gain = word, gain
+    if best_word is None or best_gain <= min_gain + GAIN_TOLERANCE:
         return None
-    return best.word, best
+    true_correct = in_correct.get(best_word, 0)
+    return best_word, _split_from_counts(
+        best_word,
+        true_correct,
+        true_correct + in_incorrect.get(best_word, 0),
+        correct,
+        total,
+        current_entropy,
+    )
 
 
 def _majority(correct: int, incorrect: int, config: TrainConfig) -> tuple[Label, int]:
@@ -301,7 +366,7 @@ def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classif
         certainty=node.probability,
         trace=trace,
         critical_word=_critical_word(trace),
-        out_of_vocabulary=frozenset(features).isdisjoint(tree.vocabulary()),
+        out_of_vocabulary=tree.vocabulary().isdisjoint(features),
     )
 
 

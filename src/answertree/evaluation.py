@@ -231,6 +231,10 @@ def pearson(xs: list[float], ys: list[float]) -> CorrelationResult:
     n = len(xs)
     if n < 3:
         raise ValueError(f"need at least 3 pairs, got {n}")
+    # Test constancy on the values: a rounded mean leaves a constant series
+    # with ulp-sized deviations and a spurious nonzero sum of squares.
+    if min(xs) == max(xs) or min(ys) == max(ys):
+        raise ValueError("correlation is undefined for a constant series")
     mean_x = sum(xs) / n
     mean_y = sum(ys) / n
     dx = [x - mean_x for x in xs]
@@ -238,7 +242,7 @@ def pearson(xs: list[float], ys: list[float]) -> CorrelationResult:
     ssx = sum(d * d for d in dx)
     ssy = sum(d * d for d in dy)
     if ssx == 0.0 or ssy == 0.0:
-        raise ValueError("correlation is undefined for a constant series")
+        raise ValueError("correlation is undefined: deviations underflow to zero")
     r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
     r = max(-1.0, min(1.0, r))
     df = n - 2

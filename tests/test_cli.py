@@ -136,6 +136,26 @@ def test_grade_rejects_out_of_range_threshold(tmp_path):
     ) == 2
 
 
+# "the wall" and "wall" share a word set but not a label.
+WALL = """question_id,answer,label
+q1,the wall,correct
+q1,wall,incorrect
+q1,papillary,correct
+"""
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_min_gain_is_a_one_line_usage_error(tmp_path, capsys, command, value):
+    answers = write(tmp_path / "answers.csv", WALL)
+    out = tmp_path / "out"
+    argv = [command, "--answers", answers, "--out", str(out), "--min-gain", value]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["--min-gain must be a finite number >= 0"]
+    assert not out.exists()
+
+
 def test_evaluate_writes_reports(tmp_path, capsys):
     answers = write(tmp_path / "answers.csv", EVALUATABLE)
     out = tmp_path / "report"

@@ -6,11 +6,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from answertree.corpus import AnswerRecord, Label, Sample, build_question_dataset
+from answertree.corpus import (
+    AnswerRecord,
+    Label,
+    QuestionDataset,
+    Sample,
+    build_question_dataset,
+)
 from answertree.dtree import (
+    GAIN_TOLERANCE,
     Classification,
+    DecisionTree,
     TrainConfig,
     TreeFormatError,
+    TreeNode,
     build_tree,
     classify,
     deserialize_tree,
@@ -111,6 +120,31 @@ def test_select_best_rule_none_when_pure_or_no_candidates():
 def test_select_best_rule_min_gain_threshold():
     words = frozenset().union(*(s.features for s in FOUR))
     assert select_best_rule(FOUR, words, 1.0, min_gain=0.5) is None
+
+
+# "the wall" and "wall" preprocess to the same word set with opposite labels:
+# under a negative threshold a vacuous split (gain exactly 0) used to win and
+# grow a child with no samples.
+WALL = [sample("wall", C), sample("wall", I), sample("papillary", C)]
+
+
+def test_select_best_rule_never_returns_a_vacuous_split():
+    wall_pair = WALL[:2]
+    assert select_best_rule(wall_pair, frozenset({"wall"}), 1.0, min_gain=-1.0) is None
+    assert select_best_rule(FOUR, frozenset({"ventricle"}), 1.0, min_gain=-1.0) is None
+    words = frozenset({"papillary", "wall"})
+    word, ev = select_best_rule(WALL, words, entropy(2, 1), min_gain=-1.0)
+    assert word == "papillary"
+    assert (ev.true_size, ev.false_size) == (1, 2)
+
+
+def test_build_tree_negative_min_gain_grows_no_empty_child():
+    data = dataset([("the wall", C), ("wall", I), ("papillary", C)])
+    tree = build_tree(data, TrainConfig(min_gain=-1))
+    assert tree.root.word == "papillary"
+    assert tree.root.true_child.size == 1
+    assert tree.root.false_child.is_leaf
+    assert tree.root.false_child.size == 2
 
 
 # Exhaustive brute-force oracle: recompute every candidate's gain from first
@@ -298,6 +332,129 @@ def test_disjoint_class_vocabularies_always_reach_purity():
         assert all(classify(tree, s.features).label is s.label for s in data.samples)
 
 
+# --- split search pinned to the per-candidate grower ----------------------
+# The grower as it was before split search counted words in one pass: every
+# candidate is scored by evaluate_split, which partitions the samples itself,
+# and each node partitions into tuples. build_tree must match it byte for byte.
+
+
+def _reference_grow(samples, path_words, config):
+    correct = sum(1 for s in samples if s.label is C)
+    incorrect = len(samples) - correct
+    if correct != incorrect:
+        label, count = (C, correct) if correct > incorrect else (I, incorrect)
+    else:
+        label, count = config.leaf_tie_label, correct
+    leaf = TreeNode(label=label, count=count, size=len(samples))
+    if correct == 0 or incorrect == 0:
+        return leaf
+    current = entropy(correct, incorrect)
+    candidates = frozenset().union(*(s.features for s in samples)) - path_words
+    best = None
+    for word in sorted(candidates):
+        evaluation = evaluate_split(samples, word, current)
+        if best is None or evaluation.gain > best.gain:
+            best = evaluation
+    if best is None or best.gain <= config.min_gain + GAIN_TOLERANCE:
+        return leaf
+    true_side = tuple(s for s in samples if best.word in s.features)
+    false_side = tuple(s for s in samples if best.word not in s.features)
+    deeper = path_words | {best.word}
+    return TreeNode(
+        label=label,
+        count=count,
+        size=len(samples),
+        word=best.word,
+        true_child=_reference_grow(true_side, deeper, config),
+        false_child=_reference_grow(false_side, deeper, config),
+    )
+
+
+def _reference_tree_text(data, config):
+    root = _reference_grow(data.samples, frozenset(), config)
+    return serialize_tree(DecisionTree(data.question_id, root, config))
+
+
+def _root_has_gain_tie(samples):
+    correct = sum(1 for s in samples if s.label is C)
+    if correct in (0, len(samples)):
+        return False
+    current = entropy(correct, len(samples) - correct)
+    words = sorted(frozenset().union(*(s.features for s in samples)))
+    gains = [evaluate_split(samples, w, current).gain for w in words]
+    top = max(gains, default=0.0)
+    return top > GAIN_TOLERANCE and gains.count(top) > 1
+
+
+def test_build_tree_matches_per_candidate_reference_grower():
+    rng = random.Random(20261018)
+    pool = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]
+    repeated_with_both_labels = ties = thresholded = 0
+    for case in range(400):
+        # Few distinct word sets, so the same set recurs with both labels;
+        # "twin" always comes with "alpha", so the two tie exactly.
+        shapes = [
+            frozenset(w for w in pool if rng.random() < 0.35)
+            for _ in range(rng.randint(2, 8))
+        ]
+        samples = []
+        for i in range(rng.randint(2, 40)):
+            features = rng.choice(shapes)
+            if "alpha" in features:
+                features |= {"twin"}
+            label = C if rng.random() < 0.5 else I
+            samples.append(Sample(features, f"{case}-{i}", label))
+        data = QuestionDataset(question_id=f"q{case}", samples=tuple(samples))
+        config = TrainConfig(
+            min_gain=rng.choice([0.0, 0.0, 0.05, 0.2]),
+            leaf_tie_label=rng.choice([C, I]),
+        )
+        want = _reference_tree_text(data, config)
+        assert serialize_tree(build_tree(data, config)) == want
+        labels_by_set = {}
+        for s in samples:
+            labels_by_set.setdefault(s.features, set()).add(s.label)
+        repeated_with_both_labels += any(len(v) == 2 for v in labels_by_set.values())
+        ties += _root_has_gain_tie(samples)
+        thresholded += config.min_gain > 0
+    assert repeated_with_both_labels > 100
+    assert ties > 100
+    assert thresholded > 100
+
+
+def _leaf_training_data(tree):
+    """One sample per training answer a tree's leaf counts record: the path's
+    true-branch words as features, count answers with the leaf's label and
+    the rest with the other."""
+    samples = []
+    stack = [(tree.root, frozenset())]
+    while stack:
+        node, words = stack.pop()
+        if not node.is_leaf:
+            stack.append((node.true_child, words | {node.word}))
+            stack.append((node.false_child, words))
+            continue
+        other = I if node.label is C else C
+        for i in range(node.size):
+            label = node.label if i < node.count else other
+            samples.append(Sample(words, f"{len(samples)}", label))
+    return QuestionDataset(question_id=tree.question_id, samples=tuple(samples))
+
+
+def test_example_tree_training_data_grades_the_worked_examples_unchanged(example_tree):
+    data = _leaf_training_data(example_tree)
+    tree = build_tree(data)
+    assert serialize_tree(tree) == _reference_tree_text(data, TrainConfig())
+    for words in (
+        {"papillary", "muscles"},
+        {"atrial", "papillary", "muscles"},
+        {"subvalvular", "apparatus"},
+    ):
+        want = classify(example_tree, frozenset(words))
+        got = classify(tree, frozenset(words))
+        assert (got.label, got.certainty) == (want.label, want.certainty), words
+
+
 # --- classification and explanation -----------------------------------------
 
 
@@ -356,6 +513,14 @@ def test_classify_never_tests_the_same_word_twice(example_tree):
         trace = classify(example_tree, features).trace
         tested = [s.word for s in trace]
         assert len(tested) == len(set(tested))
+
+
+def test_vocabulary_is_kept_out_of_equality_and_hashing(example_tree_path):
+    text = example_tree_path.read_text(encoding="utf-8")
+    used, fresh = deserialize_tree(text), deserialize_tree(text)
+    assert used.vocabulary() is used.vocabulary()
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
 
 
 def test_explain_renders_the_step_list(example_tree):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 import scipy.stats
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from answertree.corpus import AnswerRecord, Label, build_question_dataset
@@ -179,6 +179,18 @@ def test_pearson_input_validation():
         pearson([1, 1, 1], [1, 2, 3])
 
 
+# A constant series whose mean rounds off by an ulp.
+ROUNDED_CONSTANT = [42.77112223808423] * 3
+
+
+def test_pearson_rejects_a_constant_series_whose_mean_rounds():
+    assert sum(ROUNDED_CONSTANT) / 3 != ROUNDED_CONSTANT[0]
+    with pytest.raises(ValueError, match="constant"):
+        pearson(ROUNDED_CONSTANT, [0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="constant"):
+        pearson([0.0, 0.0, 1.0], ROUNDED_CONSTANT)
+
+
 def test_pearson_matches_scipy_on_random_data():
     rng = random.Random(42)
     for _ in range(200):
@@ -219,6 +231,7 @@ finite = st.floats(-50, 50).map(lambda v: 0.0 if abs(v) < 1e-6 else v)
 
 
 @given(st.lists(st.tuples(finite, finite), min_size=3, max_size=30))
+@example(list(zip(ROUNDED_CONSTANT, [0.0, 0.0, 1.0])))
 def test_pearson_affine_invariance_and_symmetry(pairs):
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
