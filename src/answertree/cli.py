@@ -90,6 +90,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     config = dtree.TrainConfig(min_gain=args.min_gain)
     trained_at = _trained_at()
     out_dir = Path(args.out)
+    # Each id names a file in --out; check them all before writing any.
+    for question_id in datasets:
+        separators = any(c in question_id for c in "/\\\0")
+        if separators or question_id in ("", ".", ".."):
+            raise corpus.CorpusError(
+                f"question id {question_id!r} is not a safe file name"
+            )
     for question_id, dataset in datasets.items():
         tree = dtree.build_tree(dataset, config, trained_at=trained_at)
         _atomic_write(
@@ -104,11 +111,25 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_tree(path: Path) -> dtree.DecisionTree:
+    try:
+        return dtree.deserialize_tree(path.read_text(encoding="utf-8"))
+    except dtree.TreeFormatError as exc:
+        raise dtree.TreeFormatError(f"{path}: {exc}") from exc
+
+
 def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
-    trees = {}
+    trees: dict[str, dtree.DecisionTree] = {}
+    sources: dict[str, Path] = {}
     for path in sorted(Path(trees_dir).glob("*.tree.json")):
-        tree = dtree.deserialize_tree(path.read_text(encoding="utf-8"))
+        tree = _load_tree(path)
+        if tree.question_id in trees:
+            raise dtree.TreeFormatError(
+                f"{sources[tree.question_id]} and {path} both hold a tree for "
+                f"question {tree.question_id!r}"
+            )
         trees[tree.question_id] = tree
+        sources[tree.question_id] = path
     return trees
 
 
@@ -200,7 +221,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     prep = _load_prep(args.stopwords)
-    tree = dtree.deserialize_tree(Path(args.tree).read_text(encoding="utf-8"))
+    tree = _load_tree(Path(args.tree))
     result = dtree.classify(tree, textprep.preprocess(args.answer, prep))
     print(dtree.explain(result).render())
     return 0

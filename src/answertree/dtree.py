@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
+from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset, Sample
 
@@ -75,21 +77,13 @@ class DecisionTree:
 
     def vocabulary(self) -> frozenset[str]:
         """All words tested anywhere in the tree."""
-        return self._vocabulary
+        return self._flat.vocabulary
 
-    # Computed on first use and kept in the instance dict: not a dataclass
+    # Compiled on first use and kept in the instance dict: not a dataclass
     # field, so it stays out of __eq__, __hash__ and __repr__.
     @cached_property
-    def _vocabulary(self) -> frozenset[str]:
-        words: set[str] = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.word is not None:
-                words.add(node.word)
-                stack.append(node.true_child)
-                stack.append(node.false_child)
-        return frozenset(words)
+    def _flat(self) -> _FlatTree:
+        return _compile(self.root)
 
 
 @dataclass(frozen=True)
@@ -340,33 +334,94 @@ def build_tree(
     )
 
 
+class _FlatTree(NamedTuple):
+    """A tree compiled into parallel arrays indexed by node, root at 0.
+
+    ``words[i]`` is None for a leaf. For an internal node, ``true_steps[i]``
+    and ``false_steps[i]`` are the trace steps its two branches record;
+    ``TraceStep`` is immutable, so every classification shares them.
+    """
+
+    words: tuple[str | None, ...]
+    true_index: tuple[int, ...]
+    false_index: tuple[int, ...]
+    labels: tuple[Label, ...]
+    probabilities: tuple[float, ...]
+    true_steps: tuple[TraceStep | None, ...]
+    false_steps: tuple[TraceStep | None, ...]
+    vocabulary: frozenset[str]
+
+
+def _compile(root: TreeNode) -> _FlatTree:
+    """Lay a tree out in preorder with one iterative walk."""
+    words: list[str | None] = []
+    true_index: list[int] = []
+    false_index: list[int] = []
+    labels: list[Label] = []
+    probabilities: list[float] = []
+    true_steps: list[TraceStep | None] = []
+    false_steps: list[TraceStep | None] = []
+    # (node, index of its parent, whether it is the parent's true child)
+    stack: list[tuple[TreeNode, int, bool]] = [(root, -1, False)]
+    while stack:
+        node, parent, branch = stack.pop()
+        index = len(words)
+        if parent >= 0:
+            (true_index if branch else false_index)[parent] = index
+        word = node.word
+        probability = node.count / node.size
+        words.append(word)
+        true_index.append(-1)
+        false_index.append(-1)
+        labels.append(node.label)
+        probabilities.append(probability)
+        if word is None:
+            true_steps.append(None)
+            false_steps.append(None)
+            continue
+        true_steps.append(TraceStep(word, True, node.label, probability))
+        false_steps.append(TraceStep(word, False, node.label, probability))
+        stack.append((node.false_child, index, False))
+        stack.append((node.true_child, index, True))
+    return _FlatTree(
+        words=tuple(words),
+        true_index=tuple(true_index),
+        false_index=tuple(false_index),
+        labels=tuple(labels),
+        probabilities=tuple(probabilities),
+        true_steps=tuple(true_steps),
+        false_steps=tuple(false_steps),
+        vocabulary=frozenset(w for w in words if w is not None),
+    )
+
+
 def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classification:
-    """Grade one preprocessed answer by walking the tree to a leaf."""
+    """Grade one preprocessed answer by walking the compiled tree to a leaf."""
+    (words, true_index, false_index, labels, probabilities,
+     true_steps, false_steps, vocabulary) = tree._flat
     visited: list[TraceStep] = []
-    node = tree.root
-    while not node.is_leaf:
-        branch = node.word in features
-        visited.append(
-            TraceStep(
-                word=node.word,
-                branch=branch,
-                label=node.label,
-                probability=node.probability,
-            )
-        )
-        node = node.true_child if branch else node.false_child
-    # Trailing false tests matched none of the answer's words; drop them from
-    # the trace so it reads as the sequence of decisions that mattered.
-    end = len(visited)
-    while end > 0 and not visited[end - 1].branch:
-        end -= 1
+    # Trailing false tests matched none of the answer's words; the trace ends
+    # at the last true test so it reads as the decisions that mattered.
+    end = 0
+    index = 0
+    word = words[0]
+    while word is not None:
+        if word in features:
+            visited.append(true_steps[index])
+            end = len(visited)
+            index = true_index[index]
+        else:
+            visited.append(false_steps[index])
+            index = false_index[index]
+        word = words[index]
     trace = tuple(visited[:end])
     return Classification(
-        label=node.label,
-        certainty=node.probability,
+        label=labels[index],
+        certainty=probabilities[index],
         trace=trace,
         critical_word=_critical_word(trace),
-        out_of_vocabulary=tree.vocabulary().isdisjoint(features),
+        # A true test means one of the answer's words is in the tree.
+        out_of_vocabulary=not end and vocabulary.isdisjoint(features),
     )
 
 
@@ -419,6 +474,11 @@ def serialize_tree(tree: DecisionTree) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+# JSON true/false load as bool, which Python counts as an int.
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _node_from_obj(obj: object, where: str) -> TreeNode:
     if not isinstance(obj, dict):
         raise TreeFormatError(f"{where}: node must be an object")
@@ -430,7 +490,7 @@ def _node_from_obj(obj: object, where: str) -> TreeNode:
         raise TreeFormatError(f"{where}: unknown label {obj['label']!r}") from None
     count = obj.get("count")
     size = obj.get("size")
-    if not isinstance(count, int) or not isinstance(size, int):
+    if not (_is_int(count) and _is_int(size)):
         raise TreeFormatError(f"{where}: count and size must be integers")
     word = obj.get("word")
     has_true = "true" in obj
@@ -457,7 +517,7 @@ def _node_from_obj(obj: object, where: str) -> TreeNode:
 def deserialize_tree(text: str) -> DecisionTree:
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise TreeFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(document, dict) or "root" not in document:
         raise TreeFormatError("tree document must be an object with a root")
@@ -470,10 +530,13 @@ def deserialize_tree(text: str) -> DecisionTree:
         raise TreeFormatError(
             f"unknown leaf_tie_label {config_obj.get('leaf_tie_label')!r}"
         ) from None
-    config = TrainConfig(
-        min_gain=float(config_obj.get("min_gain", 0.0)),
-        leaf_tie_label=tie_label,
-    )
+    min_gain = config_obj.get("min_gain", 0.0)
+    number = _is_int(min_gain) or isinstance(min_gain, float)
+    # Checked against the largest float, not inf, so a huge integer is
+    # rejected rather than overflowing float().
+    if not (number and 0.0 <= min_gain <= sys.float_info.max):
+        raise TreeFormatError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
+    config = TrainConfig(min_gain=float(min_gain), leaf_tie_label=tie_label)
     return DecisionTree(
         question_id=str(document.get("question_id", "")),
         root=_node_from_obj(document["root"], "root"),

@@ -56,6 +56,25 @@ def test_train_is_byte_identical_across_runs(tmp_path, reproducible_clock):
     assert (first / "q2.tree.json").read_bytes() == (second / "q2.tree.json").read_bytes()
 
 
+@pytest.mark.parametrize("question_id", ["../escape", "..", ".", "a/b", "a\\b", "a\0b"])
+def test_train_rejects_unsafe_question_ids(tmp_path, capsys, question_id):
+    records = [
+        {"question_id": "q1", "answer": "alpha", "label": "correct"},
+        {"question_id": "q1", "answer": "beta", "label": "incorrect"},
+        {"question_id": question_id, "answer": "alpha", "label": "correct"},
+        {"question_id": question_id, "answer": "beta", "label": "incorrect"},
+    ]
+    work = tmp_path / "work"
+    work.mkdir()
+    answers = write(work / "answers.json", json.dumps(records))
+    out = work / "trees"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "not a safe file name" in line
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["answers.json", "work"]
+
+
 def test_train_conflicting_labels_fail_with_exit_1(tmp_path, capsys):
     answers = write(
         tmp_path / "answers.csv",
@@ -106,6 +125,57 @@ def test_grade_missing_tree_is_exit_1(tmp_path, capsys):
         ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
     ) == 1
     assert "q9" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _example_document(example_tree_path, **changes):
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    config = changes.pop("config", {})
+    document["config"].update(config)
+    document["root"].update(changes)
+    return json.dumps(document)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"config": {"min_gain": "abc"}}, "min_gain"),
+        ({"config": {"min_gain": "nan"}}, "min_gain"),
+        ({"config": {"min_gain": -0.5}}, "min_gain"),
+        ({"config": {"min_gain": float("inf")}}, "min_gain"),
+        ({"count": True}, "count and size"),
+        ({"size": False}, "count and size"),
+    ],
+)
+def test_malformed_tree_is_a_one_line_error(
+    tmp_path, capsys, example_tree_path, changes, message
+):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    tree = write(trees / "Q52.tree.json", _example_document(example_tree_path, **changes))
+    ungraded = write(tmp_path / "new.csv", "question_id,answer\nQ52,papillary\n")
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "Q52.tree.json" in line and message in line
+    assert not out.exists()
+    assert main(["explain", "--tree", tree, "--answer", "papillary"]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "Q52.tree.json" in line and message in line
+
+
+def test_grade_rejects_two_trees_for_one_question(tmp_path, capsys, example_tree_path):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    shutil.copy(example_tree_path, trees / "Q52.tree.json")
+    shutil.copy(example_tree_path, trees / "copy.tree.json")
+    ungraded = write(tmp_path / "new.csv", "question_id,answer\nQ52,papillary\n")
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "Q52.tree.json" in line and "copy.tree.json" in line and "'Q52'" in line
     assert not out.exists()
 
 

@@ -17,6 +17,7 @@ from answertree.dtree import (
     GAIN_TOLERANCE,
     Classification,
     DecisionTree,
+    TraceStep,
     TrainConfig,
     TreeFormatError,
     TreeNode,
@@ -516,11 +517,17 @@ def test_classify_never_tests_the_same_word_twice(example_tree):
 
 
 def test_vocabulary_is_kept_out_of_equality_and_hashing(example_tree_path):
+    # The vocabulary lives in the compiled form, which classify builds once.
     text = example_tree_path.read_text(encoding="utf-8")
     used, fresh = deserialize_tree(text), deserialize_tree(text)
+    first = classify(used, frozenset({"papillary", "muscles"}))
     assert used.vocabulary() is used.vocabulary()
+    assert "_flat" in vars(used) and "_flat" not in vars(fresh)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
+    # Reusing the compiled form and its shared trace steps changes no result.
+    assert classify(used, frozenset({"papillary", "muscles"})) == first
+    assert classify(fresh, frozenset({"papillary", "muscles"})) == first
 
 
 def test_explain_renders_the_step_list(example_tree):
@@ -542,6 +549,132 @@ def test_explain_single_leaf_tree():
     assert explanation.critical_word is None
     assert "terminal node" in explanation.render()
     assert explanation.verdict() == "answer is correct (100% significance)"
+
+
+# --- compiled classification pinned to the nested-node walk ---------------
+# classify as it was before trees were compiled into flat arrays: it walks the
+# TreeNode objects, building one TraceStep per visited node. The compiled walk
+# must return an equal Classification for every tree and answer.
+
+
+def _reference_vocabulary(root):
+    words, stack = set(), [root]
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            words.add(node.word)
+            stack += [node.true_child, node.false_child]
+    return words
+
+
+def _reference_classify(tree, features):
+    visited = []
+    node = tree.root
+    while not node.is_leaf:
+        branch = node.word in features
+        visited.append(
+            TraceStep(
+                word=node.word,
+                branch=branch,
+                label=node.label,
+                probability=node.probability,
+            )
+        )
+        node = node.true_child if branch else node.false_child
+    end = len(visited)
+    while end > 0 and not visited[end - 1].branch:
+        end -= 1
+    trace = tuple(visited[:end])
+    critical = None
+    for step in trace:
+        if critical is None or step.probability > critical.probability:
+            critical = step
+    return Classification(
+        label=node.label,
+        certainty=node.probability,
+        trace=trace,
+        critical_word=critical.word if critical is not None else None,
+        out_of_vocabulary=_reference_vocabulary(tree.root).isdisjoint(features),
+    )
+
+
+def _chain_tree(depth):
+    """A chain built bottom-up: node i tests "w<i>"; the deeper subtree hangs
+    off the true branch at even i and off the false branch at odd i, and the
+    other branch is a leaf."""
+    node = TreeNode(label=I, count=2, size=3)
+    for i in reversed(range(depth)):
+        leaf = TreeNode(label=C if i % 2 else I, count=i % 5 + 1, size=5)
+        deeper, other = (node, leaf) if i % 2 == 0 else (leaf, node)
+        node = TreeNode(
+            label=C, count=i % 7 + 1, size=7, word=f"w{i}",
+            true_child=deeper, false_child=other,
+        )
+    return DecisionTree(question_id="chain", root=node)
+
+
+def _depth(root):
+    deepest, stack = 0, [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if not node.is_leaf:
+            stack += [(node.true_child, depth + 1), (node.false_child, depth + 1)]
+    return deepest
+
+
+def _feature_sets(rng, vocabulary, count):
+    """Random answers over a tree's words plus words it never tests,
+    always including the empty answer and an out-of-vocabulary one."""
+    pool = sorted(vocabulary) + ["outside", "novel"]
+    yield frozenset()
+    yield frozenset({"outside", "novel"})
+    for _ in range(count):
+        share = rng.random()
+        yield frozenset(w for w in pool if rng.random() < share)
+
+
+def test_classify_matches_the_nested_node_walk(example_tree):
+    rng = random.Random(20261018)
+    pool = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]
+    trees = [example_tree, build_tree(dataset([("alpha", C), ("beta", C)]))]
+    for _ in range(60):
+        trees.append(build_tree(_random_conflict_free_dataset(rng, pool)))
+        samples = tuple(
+            Sample(frozenset(w for w in pool if rng.random() < 0.4), str(i),
+                   C if rng.random() < 0.5 else I)
+            for i in range(rng.randint(2, 30))
+        )
+        trees.append(build_tree(QuestionDataset("noisy", samples)))
+    assert trees[1].root.is_leaf
+    assert max(_depth(t.root) for t in trees) >= 4
+    for tree in trees:
+        words = _reference_vocabulary(tree.root)
+        assert tree.vocabulary() == words
+        for features in _feature_sets(rng, words, 40):
+            assert classify(tree, features) == _reference_classify(tree, features)
+
+
+def test_classify_walks_a_depth_3000_chain():
+    tree = _chain_tree(3000)
+    assert _depth(tree.root) == 3000
+    every_even = frozenset(f"w{i}" for i in range(0, 3000, 2))
+    result = classify(tree, every_even)
+    # The walk reaches the bottom leaf; the last test (w2999) is false.
+    assert (result.label, result.certainty) == (I, 2 / 3)
+    assert len(result.trace) == 2999
+    assert result == _reference_classify(tree, every_even)
+    rng = random.Random(5)
+    for features in _feature_sets(rng, _reference_vocabulary(tree.root), 20):
+        assert classify(tree, features) == _reference_classify(tree, features)
+
+
+def test_explain_renders_the_same_as_the_nested_node_walk(example_tree):
+    rng = random.Random(8)
+    for tree in (example_tree, _chain_tree(40)):
+        for features in _feature_sets(rng, tree.vocabulary(), 200):
+            want = explain(_reference_classify(tree, features)).render()
+            assert explain(classify(tree, features)).render() == want
 
 
 # --- serialization -----------------------------------------------------------
