@@ -38,18 +38,27 @@ def _file_format(path: Path) -> str:
     return "json" if path.suffix.lower() == ".json" else "csv"
 
 
+def _read_text(path: Path, error: type[Exception] = corpus.CorpusError) -> str:
+    """A UTF-8 text file, with or without the byte-order mark spreadsheet
+    programs write; bytes that do not decode raise ``error``."""
+    try:
+        return path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise error(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
+
+
 def _load_prep(stopwords_path: str | None) -> textprep.PreprocessConfig:
     if stopwords_path is None:
         return textprep.DEFAULT_CONFIG
-    content = Path(stopwords_path).read_text(encoding="utf-8")
+    content = _read_text(Path(stopwords_path))
     return textprep.PreprocessConfig(stopwords=textprep.parse_stopword_file(content))
 
 
 def _load_records(path_str: str) -> list[corpus.AnswerRecord]:
     path = Path(path_str)
-    return corpus.parse_answer_file(
-        path.read_text(encoding="utf-8"), _file_format(path)
-    )
+    return corpus.parse_answer_file(_read_text(path), _file_format(path))
 
 
 def _trained_at() -> str:
@@ -112,8 +121,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_tree(path: Path) -> dtree.DecisionTree:
+    text = _read_text(path, dtree.TreeFormatError)
     try:
-        return dtree.deserialize_tree(path.read_text(encoding="utf-8"))
+        return dtree.deserialize_tree(text)
     except dtree.TreeFormatError as exc:
         raise dtree.TreeFormatError(f"{path}: {exc}") from exc
 
@@ -137,9 +147,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     prep = _load_prep(args.stopwords)
     trees = _load_trees(args.trees)
     path = Path(args.answers)
-    pairs = corpus.parse_ungraded_file(
-        path.read_text(encoding="utf-8"), _file_format(path)
-    )
+    pairs = corpus.parse_ungraded_file(_read_text(path), _file_format(path))
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(
@@ -205,7 +213,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    content = Path(args.fixture).read_text(encoding="utf-8")
+    content = _read_text(Path(args.fixture))
     try:
         rows = evaluation.rows_from_fixture_csv(content)
         report = evaluation.build_report(rows)

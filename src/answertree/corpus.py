@@ -230,16 +230,6 @@ def parse_ungraded_file(content: str, format: str) -> list[tuple[str, str]]:
     raise ValueError(f"unknown answer file format {format!r}")
 
 
-def records_to_csv(records: list[AnswerRecord]) -> str:
-    """Serialize records back to the CSV answer format (lossless round-trip)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for record in records:
-        writer.writerow([record.question_id, record.raw_text, record.label.value])
-    return out.getvalue()
-
-
 def group_records(records: list[AnswerRecord]) -> dict[str, list[AnswerRecord]]:
     """Group records by question id, preserving first-seen question order."""
     groups: dict[str, list[AnswerRecord]] = {}

@@ -11,10 +11,9 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset, Sample
@@ -176,16 +175,12 @@ def _class_counts(samples: list[Sample] | tuple[Sample, ...]) -> tuple[int, int]
     return correct, len(samples) - correct
 
 
-def _split_from_counts(
-    word: str,
-    true_correct: int,
-    true_size: int,
-    correct: int,
-    total: int,
-    current_entropy: float,
-) -> SplitEvaluation:
-    """Score a split from its class counts: the one place the gain formula
-    lives. ``true_*`` count the samples containing ``word``; ``correct`` and
+def _split_entropies(
+    true_correct: int, true_size: int, correct: int, total: int, current_entropy: float
+) -> tuple[float, float, float]:
+    """The true side's, the false side's and the weighted split entropy of a
+    split with these class counts: the one place the gain formula lives.
+    ``true_*`` count the samples containing the word; ``correct`` and
     ``total`` count all of them."""
     false_size = total - true_size
     false_correct = correct - true_correct
@@ -196,13 +191,38 @@ def _split_from_counts(
     if not true_size or not false_size:
         # A vacuous split leaves the set intact; keep the gain exactly zero
         # rather than letting the weighted average round off by an ulp.
-        split_entropy = current_entropy
-    else:
-        split_entropy = (true_size * true_entropy + false_size * false_entropy) / total
+        return true_entropy, false_entropy, current_entropy
+    split_entropy = (true_size * true_entropy + false_size * false_entropy) / total
+    return true_entropy, false_entropy, split_entropy
+
+
+def _gain(
+    true_correct: int, true_size: int, correct: int, total: int, current_entropy: float
+) -> float:
+    """Information gain of a split with these class counts; the same float as
+    ``_split_from_counts(...).gain`` without building the record."""
+    split_entropy = _split_entropies(
+        true_correct, true_size, correct, total, current_entropy
+    )[2]
+    return current_entropy - split_entropy
+
+
+def _split_from_counts(
+    word: str,
+    true_correct: int,
+    true_size: int,
+    correct: int,
+    total: int,
+    current_entropy: float,
+) -> SplitEvaluation:
+    """Score a split from its class counts."""
+    true_entropy, false_entropy, split_entropy = _split_entropies(
+        true_correct, true_size, correct, total, current_entropy
+    )
     return SplitEvaluation(
         word=word,
         true_size=true_size,
-        false_size=false_size,
+        false_size=total - true_size,
         true_entropy=true_entropy,
         false_entropy=false_entropy,
         split_entropy=split_entropy,
@@ -227,60 +247,74 @@ def evaluate_split(
     )
 
 
+class _Node(NamedTuple):
+    """A set of training samples as a bit mask over an indexed dataset.
+
+    Bit ``i`` of ``mask`` stands for sample ``i``. ``word_masks`` maps each
+    word to the mask of the samples containing it and ``correct`` is the
+    mask of the correct samples; every node of one tree shares both.
+    """
+
+    mask: int
+    word_masks: dict[str, int]
+    correct: int
+
+
+def _index(samples: Sequence[Sample]) -> _Node:
+    """The node holding all of ``samples``."""
+    word_masks: dict[str, int] = {}
+    correct = 0
+    for i, s in enumerate(samples):
+        bit = 1 << i
+        if s.label is Label.CORRECT:
+            correct |= bit
+        for word in s.features:
+            word_masks[word] = word_masks.get(word, 0) | bit
+    return _Node((1 << len(samples)) - 1, word_masks, correct)
+
+
 def select_best_rule(
-    samples: list[Sample] | tuple[Sample, ...],
-    candidate_words: frozenset[str] | set[str],
+    samples: Sequence[Sample] | _Node,
+    candidate_words: Iterable[str],
     current_entropy: float,
     min_gain: float = 0.0,
 ) -> tuple[str, SplitEvaluation] | None:
     """Pick the candidate word with the greatest information gain.
 
-    One pass over ``samples`` counts, per word, the samples containing it and
-    how many of those are correct; every candidate is then scored from those
-    two counts. Returns None when no candidate gains more than ``min_gain``.
-    A word present in all samples or in none never splits. Iterating in
-    sorted order with a strict comparison makes ties resolve to the
-    lexicographically smallest word.
+    ``samples`` is a sequence of samples, which is indexed on entry, or a
+    node of the grower. Each candidate is scored from two counts: the
+    node's samples containing it and how many of those are correct. Returns
+    None when no candidate gains more than ``min_gain``. A word present in
+    all samples or in none never splits. Iterating in sorted order with a
+    strict comparison makes ties resolve to the lexicographically smallest
+    word.
     """
-    correct_sets: list[frozenset[str]] = []
-    incorrect_sets: list[frozenset[str]] = []
-    for s in samples:
-        if s.label is Label.CORRECT:
-            correct_sets.append(s.features)
-        else:
-            incorrect_sets.append(s.features)
-    in_correct = Counter(chain.from_iterable(correct_sets))
-    in_incorrect = Counter(chain.from_iterable(incorrect_sets))
-    correct = len(correct_sets)
-    total = len(samples)
+    node = samples if isinstance(samples, _Node) else _index(samples)
+    mask, word_masks, correct_mask = node
+    correct_mask &= mask
+    total = mask.bit_count()
+    correct = correct_mask.bit_count()
     # Many words share their counts (most occur once), so score each distinct
     # (true_correct, true_size) pair once.
     gains: dict[tuple[int, int], float] = {}
     best_word: str | None = None
     best_gain = 0.0
+    best_counts = (0, 0)
     for word in sorted(candidate_words):
-        true_correct = in_correct.get(word, 0)
-        true_size = true_correct + in_incorrect.get(word, 0)
+        true_mask = mask & word_masks.get(word, 0)
+        true_size = true_mask.bit_count()
         if true_size == 0 or true_size == total:
             continue
-        key = (true_correct, true_size)
+        key = ((true_mask & correct_mask).bit_count(), true_size)
         gain = gains.get(key)
         if gain is None:
-            gain = gains[key] = _split_from_counts(
-                word, true_correct, true_size, correct, total, current_entropy
-            ).gain
+            gain = gains[key] = _gain(*key, correct, total, current_entropy)
         if best_word is None or gain > best_gain:
-            best_word, best_gain = word, gain
+            best_word, best_gain, best_counts = word, gain, key
     if best_word is None or best_gain <= min_gain + GAIN_TOLERANCE:
         return None
-    true_correct = in_correct.get(best_word, 0)
     return best_word, _split_from_counts(
-        best_word,
-        true_correct,
-        true_correct + in_incorrect.get(best_word, 0),
-        correct,
-        total,
-        current_entropy,
+        best_word, *best_counts, correct, total, current_entropy
     )
 
 
@@ -292,30 +326,36 @@ def _majority(correct: int, incorrect: int, config: TrainConfig) -> tuple[Label,
     return config.leaf_tie_label, correct
 
 
-def _grow(
-    samples: tuple[Sample, ...], path_words: frozenset[str], config: TrainConfig
-) -> TreeNode:
-    correct, incorrect = _class_counts(samples)
+def _grow(node: _Node, words: list[str], config: TrainConfig) -> TreeNode:
+    """Grow the subtree over ``node``'s samples.
+
+    ``words`` is the sorted list of words that split the parent; those that
+    also split this node (present in some but not all of its samples) are
+    its candidates. A word tested on the path is in all or none of the
+    node's samples, so it is never one of them.
+    """
+    mask, word_masks, correct_mask = node
+    size = mask.bit_count()
+    correct = (mask & correct_mask).bit_count()
+    incorrect = size - correct
     label, count = _majority(correct, incorrect, config)
-    size = len(samples)
     if correct == 0 or incorrect == 0:
         return TreeNode(label=label, count=count, size=size)
-    candidates = frozenset().union(*(s.features for s in samples)) - path_words
-    current = entropy(correct, incorrect)
-    choice = select_best_rule(samples, candidates, current, config.min_gain)
+    live = [w for w in words if (m := mask & word_masks[w]) and m != mask]
+    choice = select_best_rule(node, live, entropy(correct, incorrect), config.min_gain)
     if choice is None:
         return TreeNode(label=label, count=count, size=size)
     word, _ = choice
-    true_side = tuple(s for s in samples if word in s.features)
-    false_side = tuple(s for s in samples if word not in s.features)
-    deeper = path_words | {word}
+    word_mask = word_masks[word]
+    true_side = _Node(mask & word_mask, word_masks, correct_mask)
+    false_side = _Node(mask & ~word_mask, word_masks, correct_mask)
     return TreeNode(
         label=label,
         count=count,
         size=size,
         word=word,
-        true_child=_grow(true_side, deeper, config),
-        false_child=_grow(false_side, deeper, config),
+        true_child=_grow(true_side, live, config),
+        false_child=_grow(false_side, live, config),
     )
 
 
@@ -325,10 +365,10 @@ def build_tree(
     """Train a tree on a question dataset, recursing until purity or no gain."""
     if not dataset.samples:
         raise ValueError(f"question {dataset.question_id!r}: empty dataset")
-    root = _grow(dataset.samples, frozenset(), config)
+    root = _index(dataset.samples)
     return DecisionTree(
         question_id=dataset.question_id,
-        root=root,
+        root=_grow(root, sorted(root.word_masks), config),
         config=config,
         trained_at=trained_at,
     )
@@ -519,6 +559,8 @@ def deserialize_tree(text: str) -> DecisionTree:
         document = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise TreeFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise TreeFormatError("tree nested too deep") from None
     if not isinstance(document, dict) or "root" not in document:
         raise TreeFormatError("tree document must be an object with a root")
     config_obj = document.get("config", {})
@@ -537,9 +579,13 @@ def deserialize_tree(text: str) -> DecisionTree:
     if not (number and 0.0 <= min_gain <= sys.float_info.max):
         raise TreeFormatError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
     config = TrainConfig(min_gain=float(min_gain), leaf_tie_label=tie_label)
+    try:
+        root = _node_from_obj(document["root"], "root")
+    except RecursionError:
+        raise TreeFormatError("tree nested too deep") from None
     return DecisionTree(
         question_id=str(document.get("question_id", "")),
-        root=_node_from_obj(document["root"], "root"),
+        root=root,
         config=config,
         trained_at=str(document.get("trained_at", "")),
     )

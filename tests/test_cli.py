@@ -179,6 +179,95 @@ def test_grade_rejects_two_trees_for_one_question(tmp_path, capsys, example_tree
     assert not out.exists()
 
 
+def _chain_document(depth):
+    """A tree document whose root is a chain of ``depth`` word tests, built
+    as text so that writing it needs no recursion."""
+    test = (
+        '{"word": "w%d", "label": "correct", "count": 1, "size": 2, '
+        '"true": {"label": "correct", "count": 1, "size": 1}, "false": '
+    )
+    leaf = '{"label": "incorrect", "count": 1, "size": 1}'
+    root = "".join(test % i for i in range(depth)) + leaf + "}" * depth
+    return '{"question_id": "Q52", "config": {"min_gain": 0.0}, "root": ' + root + "}\n"
+
+
+@pytest.mark.parametrize("command", ["grade", "explain"])
+def test_deeply_nested_tree_file_is_a_one_line_error(tmp_path, capsys, command):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    tree = write(trees / "Q52.tree.json", _chain_document(3000))
+    ungraded = write(tmp_path / "new.csv", "question_id,answer\nQ52,w1\n")
+    out = tmp_path / "graded.csv"
+    if command == "grade":
+        argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    else:
+        argv = ["explain", "--tree", tree, "--answer", "w1"]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "Q52.tree.json" in line and "nested too deep" in line
+    assert not out.exists()
+
+
+def test_train_rejects_a_non_utf8_answer_file(tmp_path, capsys):
+    answers = tmp_path / "answers.csv"
+    text = "question_id,answer,label\nq1,caf\u00e9 noir,correct\nq1,th\u00e9,incorrect\n"
+    answers.write_bytes(text.encode("latin-1"))
+    out = tmp_path / "trees"
+    assert main(["train", "--answers", str(answers), "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "answers.csv" in line and "not UTF-8" in line
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["new.csv", "Q52.tree.json"])
+def test_grade_rejects_non_utf8_batch_and_tree_files(
+    tmp_path, capsys, example_tree_path, bad
+):
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    tree_text = example_tree_path.read_text(encoding="utf-8")
+    tree_text = tree_text.replace("2020", "\u00e9t\u00e9")
+    batch_text = "question_id,answer\nQ52,caf\u00e9 papillary\n"
+    tree = trees / "Q52.tree.json"
+    batch = tmp_path / "new.csv"
+    for path, text in ((tree, tree_text), (batch, batch_text)):
+        path.write_bytes(text.encode("latin-1" if path.name == bad else "utf-8"))
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", str(batch), "--out", str(out)]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert bad in line and "not UTF-8" in line
+    assert not out.exists()
+
+
+def test_byte_order_mark_is_read_as_utf8(tmp_path, reproducible_clock, example_tree_path):
+    bom = b"\xef\xbb\xbf"
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    for directory, prefix in ((plain, b""), (marked, bom)):
+        directory.mkdir()
+        (directory / "answers.csv").write_bytes(prefix + GRADED.encode("utf-8"))
+        (directory / "new.csv").write_bytes(
+            prefix + "question_id,answer\nQ52,the papillary muscles\n".encode("utf-8")
+        )
+        (directory / "stop.txt").write_bytes(prefix + b"muscles\n")
+        (directory / "trees").mkdir()
+        (directory / "trees" / "Q52.tree.json").write_bytes(
+            prefix + example_tree_path.read_bytes()
+        )
+        stopwords = ["--stopwords", str(directory / "stop.txt")]
+        assert main(
+            ["train", "--answers", str(directory / "answers.csv"),
+             "--out", str(directory / "trained"), *stopwords]
+        ) == 0
+        assert main(
+            ["grade", "--trees", str(directory / "trees"),
+             "--answers", str(directory / "new.csv"),
+             "--out", str(directory / "graded.csv"), *stopwords]
+        ) == 0
+    for name in ("trained/q1.tree.json", "trained/q2.tree.json", "graded.csv"):
+        assert (plain / name).read_bytes() == (marked / name).read_bytes(), name
+
+
 def test_grade_threshold_flagging(tmp_path, example_tree_path):
     trees = tmp_path / "trees"
     trees.mkdir()

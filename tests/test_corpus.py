@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from answertree.corpus import (
+    CSV_HEADER,
     AnswerFileError,
     AnswerRecord,
     EmptyDatasetError,
@@ -14,7 +17,6 @@ from answertree.corpus import (
     group_records,
     parse_answer_file,
     parse_ungraded_file,
-    records_to_csv,
     validate_dataset,
 )
 
@@ -187,6 +189,16 @@ answer_text = st.text(
     alphabet=st.characters(blacklist_characters="\r\x00", blacklist_categories=("Cs",)),
     max_size=40,
 )
+
+
+def records_to_csv(records):
+    """Serialize records back to the CSV answer format."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for record in records:
+        writer.writerow([record.question_id, record.raw_text, record.label.value])
+    return out.getvalue()
 
 
 @given(st.lists(st.tuples(answer_text, st.booleans()), min_size=1, max_size=25))

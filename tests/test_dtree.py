@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from answertree import dtree
 from answertree.corpus import (
     AnswerRecord,
     Label,
@@ -21,6 +22,10 @@ from answertree.dtree import (
     TrainConfig,
     TreeFormatError,
     TreeNode,
+    _gain,
+    _index,
+    _Node,
+    _split_from_counts,
     build_tree,
     classify,
     deserialize_tree,
@@ -30,6 +35,7 @@ from answertree.dtree import (
     select_best_rule,
     serialize_tree,
 )
+from answertree.evaluation import cross_validate, make_stratified_folds
 
 C, I = Label.CORRECT, Label.INCORRECT
 
@@ -387,29 +393,38 @@ def _root_has_gain_tie(samples):
     return top > GAIN_TOLERANCE and gains.count(top) > 1
 
 
+POOL = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]
+
+
+def _random_case(rng, case, max_samples=40):
+    """A seeded corpus with few distinct word sets, so the same set recurs
+    with both labels; "twin" always comes with "alpha", so the two tie
+    exactly. Returns the dataset and a random training config."""
+    shapes = [
+        frozenset(w for w in POOL if rng.random() < 0.35)
+        for _ in range(rng.randint(2, 8))
+    ]
+    samples = []
+    for i in range(rng.randint(2, max_samples)):
+        features = rng.choice(shapes)
+        if "alpha" in features:
+            features |= {"twin"}
+        label = C if rng.random() < 0.5 else I
+        samples.append(Sample(features, f"{case}-{i}", label))
+    data = QuestionDataset(question_id=f"q{case}", samples=tuple(samples))
+    config = TrainConfig(
+        min_gain=rng.choice([0.0, 0.0, 0.05, 0.2]),
+        leaf_tie_label=rng.choice([C, I]),
+    )
+    return data, config
+
+
 def test_build_tree_matches_per_candidate_reference_grower():
     rng = random.Random(20261018)
-    pool = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]
     repeated_with_both_labels = ties = thresholded = 0
     for case in range(400):
-        # Few distinct word sets, so the same set recurs with both labels;
-        # "twin" always comes with "alpha", so the two tie exactly.
-        shapes = [
-            frozenset(w for w in pool if rng.random() < 0.35)
-            for _ in range(rng.randint(2, 8))
-        ]
-        samples = []
-        for i in range(rng.randint(2, 40)):
-            features = rng.choice(shapes)
-            if "alpha" in features:
-                features |= {"twin"}
-            label = C if rng.random() < 0.5 else I
-            samples.append(Sample(features, f"{case}-{i}", label))
-        data = QuestionDataset(question_id=f"q{case}", samples=tuple(samples))
-        config = TrainConfig(
-            min_gain=rng.choice([0.0, 0.0, 0.05, 0.2]),
-            leaf_tie_label=rng.choice([C, I]),
-        )
+        data, config = _random_case(rng, case)
+        samples = data.samples
         want = _reference_tree_text(data, config)
         assert serialize_tree(build_tree(data, config)) == want
         labels_by_set = {}
@@ -454,6 +469,87 @@ def test_example_tree_training_data_grades_the_worked_examples_unchanged(example
         want = classify(example_tree, frozenset(words))
         got = classify(tree, frozenset(words))
         assert (got.label, got.certainty) == (want.label, want.certainty), words
+
+
+# --- the mask grower -----------------------------------------------------------
+
+
+def test_select_best_rule_scores_a_grower_node_like_its_samples():
+    rng = random.Random(20261019)
+    for case in range(500):
+        data, _ = _random_case(rng, case)
+        root = _index(data.samples)
+        # A random subset of the samples, as a grower node and as a sequence.
+        mask = rng.getrandbits(len(data.samples)) or root.mask
+        subset = [s for i, s in enumerate(data.samples) if mask >> i & 1]
+        correct = sum(1 for s in subset if s.label is C)
+        current = entropy(correct, len(subset) - correct)
+        candidates = frozenset(POOL + ["twin", "absent"])
+        min_gain = rng.choice([0.0, 0.05, -1.0])
+        node = _Node(mask, root.word_masks, root.correct)
+        want = select_best_rule(subset, candidates, current, min_gain)
+        assert select_best_rule(node, sorted(candidates), current, min_gain) == want
+
+
+def test_grower_calls_select_best_rule_once_per_impure_node(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return select_best_rule(*args, **kwargs)
+
+    monkeypatch.setattr(dtree, "select_best_rule", counting)
+    rng = random.Random(20261020)
+    cases = [(dataset(REFERENCE_CORPUS), TrainConfig())]
+    cases += [_random_case(rng, case) for case in range(200)]
+    for data, config in cases:
+        calls.clear()
+        tree = build_tree(data, config)
+        impure = 0
+        stack = [tree.root]
+        while stack:
+            node = stack.pop()
+            impure += node.count < node.size
+            if not node.is_leaf:
+                stack += [node.true_child, node.false_child]
+        assert len(calls) == impure
+
+
+def _reference_cross_validate(data, config, plan):
+    per_fold = []
+    for fold in range(plan.k):
+        train = tuple(data.samples[i] for i in plan.train_indices(fold))
+        test = [data.samples[i] for i in plan.test_indices(fold)]
+        root = _reference_grow(train, frozenset(), config)
+        tree = DecisionTree(data.question_id, root, config)
+        hits = sum(1 for s in test if classify(tree, s.features).label is s.label)
+        per_fold.append((hits, len(test)))
+    return tuple(per_fold)
+
+
+def test_cross_validate_matches_a_cv_on_the_reference_grower():
+    rng = random.Random(20261021)
+    for case in range(150):
+        data, config = _random_case(rng, case, max_samples=80)
+        k = rng.randint(2, min(10, len(data.samples)))
+        plan = make_stratified_folds([s.label for s in data.samples], k, seed=case)
+        want = _reference_cross_validate(data, config, plan)
+        assert cross_validate(data, config, plan).per_fold == want
+
+
+def test_gain_helper_equals_the_split_record_gain_bit_for_bit():
+    checked = 0
+    for total in range(1, 41):
+        for correct in range(total + 1):
+            current = entropy(correct, total - correct)
+            for true_size in range(total + 1):
+                low = max(0, correct - (total - true_size))
+                for true_correct in range(low, min(true_size, correct) + 1):
+                    counts = (true_correct, true_size, correct, total, current)
+                    want = _split_from_counts("w", *counts).gain
+                    assert _gain(*counts).hex() == want.hex(), counts
+                    checked += 1
+    assert checked > 100_000
 
 
 # --- classification and explanation -----------------------------------------
