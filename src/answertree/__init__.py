@@ -23,7 +23,6 @@ from .corpus import (
 from .dtree import (
     Classification,
     DecisionTree,
-    Explanation,
     TrainConfig,
     TreeFormatError,
     TreeNode,

@@ -93,6 +93,11 @@ def _build_datasets(
     return datasets
 
 
+def _too_deep(question_id: str) -> corpus.CorpusError:
+    # The grower and the serializer recurse once per tree level.
+    return corpus.CorpusError(f"question {question_id!r}: tree nested too deep")
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     prep = _load_prep(args.stopwords)
     datasets = _build_datasets(_load_records(args.answers), prep)
@@ -107,10 +112,12 @@ def cmd_train(args: argparse.Namespace) -> int:
                 f"question id {question_id!r} is not a safe file name"
             )
     for question_id, dataset in datasets.items():
-        tree = dtree.build_tree(dataset, config, trained_at=trained_at)
-        _atomic_write(
-            out_dir / f"{question_id}.tree.json", dtree.serialize_tree(tree)
-        )
+        try:
+            tree = dtree.build_tree(dataset, config, trained_at=trained_at)
+            text = dtree.serialize_tree(tree)
+        except RecursionError:
+            raise _too_deep(question_id) from None
+        _atomic_write(out_dir / f"{question_id}.tree.json", text)
         counts = textprep.unique_word_counts(dataset)
         print(
             f"{question_id}: {len(dataset)} samples "
@@ -194,7 +201,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         plan = evaluation.make_stratified_folds(
             [s.label for s in dataset.samples], args.k, args.seed
         )
-        accuracy = evaluation.cross_validate(dataset, config, plan)
+        try:
+            accuracy = evaluation.cross_validate(dataset, config, plan)
+        except RecursionError:
+            raise _too_deep(question_id) from None
         rows.append(evaluation.make_row(accuracy, textprep.unique_word_counts(dataset)))
     if not rows:
         print("no question had enough samples to evaluate", file=sys.stderr)
@@ -231,7 +241,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     prep = _load_prep(args.stopwords)
     tree = _load_tree(Path(args.tree))
     result = dtree.classify(tree, textprep.preprocess(args.answer, prep))
-    print(dtree.explain(result).render())
+    print(dtree.explain(result))
     return 0
 
 

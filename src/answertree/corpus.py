@@ -13,11 +13,14 @@ import io
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, TypeVar
 
 from .textprep import DEFAULT_CONFIG, PreprocessConfig, preprocess
 
 CSV_HEADER = ["question_id", "answer", "label"]
 UNGRADED_CSV_HEADER = ["question_id", "answer"]
+
+_T = TypeVar("_T")
 
 
 class CorpusError(Exception):
@@ -120,114 +123,73 @@ class ValidationReport:
 
 def parse_answer_file(content: str, format: str) -> list[AnswerRecord]:
     """Parse a graded answer file. ``format`` is ``"csv"`` or ``"json"``."""
-    if format == "csv":
-        return _parse_csv(content)
-    if format == "json":
-        return _parse_json(content)
-    raise ValueError(f"unknown answer file format {format!r}")
 
+    def build(row: list[str]) -> AnswerRecord:
+        return AnswerRecord(row[0], row[1], Label.parse(row[2]))
 
-def _parse_csv(content: str) -> list[AnswerRecord]:
-    reader = csv.reader(io.StringIO(content))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise AnswerFileError("empty CSV file") from None
-    if [h.strip() for h in header] != CSV_HEADER:
-        raise AnswerFileError(
-            f"bad CSV header {header!r}, expected {','.join(CSV_HEADER)}"
-        )
-    records = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise AnswerFileError(
-                f"row {row_num}: expected 3 columns, got {len(row)}"
-            )
-        question_id, answer, label_token = row
-        records.append(_make_record(question_id, answer, label_token, f"row {row_num}"))
-    return records
-
-
-def _parse_json(content: str) -> list[AnswerRecord]:
-    try:
-        data = json.loads(content)
-    except json.JSONDecodeError as exc:
-        raise AnswerFileError(f"invalid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise AnswerFileError("JSON answer file must be an array of objects")
-    records = []
-    for index, element in enumerate(data):
-        where = f"element {index}"
-        if not isinstance(element, dict):
-            raise AnswerFileError(f"{where}: expected an object")
-        missing = [k for k in ("question_id", "answer", "label") if k not in element]
-        if missing:
-            raise AnswerFileError(f"{where}: missing key(s) {', '.join(missing)}")
-        records.append(
-            _make_record(
-                str(element["question_id"]),
-                str(element["answer"]),
-                str(element["label"]),
-                where,
-            )
-        )
-    return records
-
-
-def _make_record(
-    question_id: str, answer: str, label_token: str, where: str
-) -> AnswerRecord:
-    if not question_id.strip():
-        raise AnswerFileError(f"{where}: empty question_id")
-    try:
-        label = Label.parse(label_token)
-    except ValueError as exc:
-        raise AnswerFileError(f"{where}: {exc}") from exc
-    return AnswerRecord(question_id=question_id, raw_text=answer, label=label)
+    return _read_answers(content, format, CSV_HEADER, build)
 
 
 def parse_ungraded_file(content: str, format: str) -> list[tuple[str, str]]:
     """Parse an ungraded answer file into (question_id, answer) pairs."""
-    if format == "csv":
-        reader = csv.reader(io.StringIO(content))
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise AnswerFileError("empty CSV file") from None
-        if [h.strip() for h in header] != UNGRADED_CSV_HEADER:
-            raise AnswerFileError(
-                f"bad CSV header {header!r}, expected {','.join(UNGRADED_CSV_HEADER)}"
-            )
-        pairs = []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
+    return _read_answers(content, format, UNGRADED_CSV_HEADER, tuple)
+
+
+def _read_answers(
+    content: str, format: str, columns: list[str], build: Callable[[list[str]], _T]
+) -> list[_T]:
+    """Read an answer file whose fields are ``columns``, ``question_id`` first.
+
+    A CSV file has ``columns`` as its header; blank lines are skipped but
+    count in row numbers. A JSON file is an array of objects holding every
+    column as a key; values are read with ``str``. ``build`` makes each row's
+    item from its fields and raises ValueError on a bad one. The first bad
+    row in file order raises AnswerFileError naming it.
+    """
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown answer file format {format!r}")
+    width = len(columns)
+    items = []
+    try:
+        if format == "csv":
+            reader = csv.reader(io.StringIO(content))
+            header = next(reader, None)
+            if header is None:
+                raise AnswerFileError("empty CSV file")
+            if [h.strip() for h in header] != columns:
+                raise AnswerFileError(
+                    f"bad CSV header {header!r}, expected {','.join(columns)}"
+                )
+            where, rows = "row", enumerate(reader, start=1)
+        else:
+            try:
+                data = json.loads(content)
+            except (ValueError, RecursionError) as exc:  # also an over-long integer
+                raise AnswerFileError(f"invalid JSON: {exc}") from None
+            if not isinstance(data, list):
+                raise AnswerFileError("JSON answer file must be an array of objects")
+            where, rows = "element", enumerate(data)
+        for n, row in rows:
+            if where == "element":
+                if not isinstance(row, dict):
+                    raise ValueError("expected an object")
+                try:
+                    row = [str(row[c]) for c in columns]
+                except KeyError:
+                    missing = ", ".join(c for c in columns if c not in row)
+                    raise ValueError(f"missing key(s) {missing}") from None
+            elif not row:
                 continue
-            if len(row) != 2:
-                raise AnswerFileError(
-                    f"row {row_num}: expected 2 columns, got {len(row)}"
-                )
+            elif len(row) != width:
+                raise ValueError(f"expected {width} columns, got {len(row)}")
             if not row[0].strip():
-                raise AnswerFileError(f"row {row_num}: empty question_id")
-            pairs.append((row[0], row[1]))
-        return pairs
-    if format == "json":
-        try:
-            data = json.loads(content)
-        except json.JSONDecodeError as exc:
-            raise AnswerFileError(f"invalid JSON: {exc}") from exc
-        if not isinstance(data, list):
-            raise AnswerFileError("JSON answer file must be an array of objects")
-        pairs = []
-        for index, element in enumerate(data):
-            if not isinstance(element, dict) or "question_id" not in element or "answer" not in element:
-                raise AnswerFileError(
-                    f"element {index}: expected an object with question_id and answer"
-                )
-            pairs.append((str(element["question_id"]), str(element["answer"])))
-        return pairs
-    raise ValueError(f"unknown answer file format {format!r}")
+                raise ValueError("empty question_id")
+            items.append(build(row))
+    except ValueError as exc:
+        raise AnswerFileError(f"{where} {n}: {exc}") from None
+    except csv.Error as exc:
+        raise AnswerFileError(f"CSV line {reader.line_num}: {exc}") from None
+    return items
 
 
 def group_records(records: list[AnswerRecord]) -> dict[str, list[AnswerRecord]]:

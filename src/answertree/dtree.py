@@ -121,30 +121,6 @@ class Classification:
     out_of_vocabulary: bool
 
 
-@dataclass(frozen=True)
-class Explanation:
-    steps: tuple[TraceStep, ...]
-    label: Label
-    certainty: float
-    critical_word: str | None
-
-    def verdict(self) -> str:
-        percent = round(self.certainty * 100)
-        return f"answer is {self.label.value} ({percent}% significance)"
-
-    def render(self) -> str:
-        lines = []
-        for position, step in enumerate(self.steps, start=1):
-            outcome = "TRUE" if step.branch else "FALSE"
-            lines.append(f'{_ordinal(position)} node "{step.word}" returns {outcome}')
-        lines.append(self.verdict())
-        if self.critical_word is not None:
-            lines.append(f'critical decision point: "{self.critical_word}"')
-        else:
-            lines.append("critical decision point: terminal node")
-        return "\n".join(lines)
-
-
 _ORDINALS = [
     "First", "Second", "Third", "Fourth", "Fifth",
     "Sixth", "Seventh", "Eighth", "Ninth", "Tenth",
@@ -473,19 +449,24 @@ def _critical_word(trace: tuple[TraceStep, ...]) -> str | None:
     return best.word if best is not None else None
 
 
-def explain(classification: Classification) -> Explanation:
+def explain(classification: Classification) -> str:
     """Render a classification as an importance-annotated step list.
 
     Importance of a step is the probability at its node; the critical
     decision point is the most important step (earliest on ties), or the
     terminal node itself when no word test fired.
     """
-    return Explanation(
-        steps=classification.trace,
-        label=classification.label,
-        certainty=classification.certainty,
-        critical_word=classification.critical_word,
-    )
+    lines = []
+    for position, step in enumerate(classification.trace, start=1):
+        outcome = "TRUE" if step.branch else "FALSE"
+        lines.append(f'{_ordinal(position)} node "{step.word}" returns {outcome}')
+    percent = round(classification.certainty * 100)
+    lines.append(f"answer is {classification.label.value} ({percent}% significance)")
+    if classification.critical_word is not None:
+        lines.append(f'critical decision point: "{classification.critical_word}"')
+    else:
+        lines.append("critical decision point: terminal node")
+    return "\n".join(lines)
 
 
 def _node_to_obj(node: TreeNode) -> dict:

@@ -24,23 +24,20 @@ DEFAULT_STOPWORDS = frozenset(
 )
 
 _WORD_LOWER = re.compile(r"[0-9a-z]+")
-_WORD_CASED = re.compile(r"[0-9A-Za-z]+")
 
 
 @dataclass(frozen=True)
 class PreprocessConfig:
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
-    lowercase: bool = True
 
 
 DEFAULT_CONFIG = PreprocessConfig()
 
 
-def tokenize(text: str, config: PreprocessConfig = DEFAULT_CONFIG) -> list[str]:
-    """Split text into word tokens on runs of non-alphanumeric characters."""
-    if config.lowercase:
-        return _WORD_LOWER.findall(text.lower())
-    return _WORD_CASED.findall(text)
+def tokenize(text: str) -> list[str]:
+    """Lowercase text and split it into word tokens on runs of
+    non-alphanumeric characters."""
+    return _WORD_LOWER.findall(text.lower())
 
 
 def remove_stopwords(
@@ -57,7 +54,7 @@ def feature_set(tokens: Iterable[str]) -> frozenset[str]:
 
 def preprocess(text: str, config: PreprocessConfig = DEFAULT_CONFIG) -> frozenset[str]:
     """Full pipeline: tokenize, remove stopwords, collapse to a word set."""
-    return feature_set(remove_stopwords(tokenize(text, config), config))
+    return feature_set(remove_stopwords(tokenize(text), config))
 
 
 def parse_stopword_file(content: str) -> frozenset[str]:

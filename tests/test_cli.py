@@ -1,10 +1,16 @@
 import csv
+import io
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from answertree.cli import main
+from answertree.corpus import CSV_HEADER, UNGRADED_CSV_HEADER
 
 GRADED = """question_id,answer,label
 q1,alpha one,correct
@@ -219,6 +225,69 @@ def test_train_rejects_a_non_utf8_answer_file(tmp_path, capsys):
     assert not out.exists()
 
 
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+LONG_INT = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "command, name, content, message",
+    [
+        ("train", "answers.json", DEEP_JSON, "invalid JSON: maximum recursion depth"),
+        ("grade", "new.json", DEEP_JSON, "invalid JSON: maximum recursion depth"),
+        (
+            "train",
+            "answers.json",
+            '[{"question_id": "q1", "answer": "a", "label": %s}]' % LONG_INT,
+            "invalid JSON: Exceeds the limit",
+        ),
+        (
+            "grade",
+            "new.json",
+            '[{"question_id": %s, "answer": "a"}]' % LONG_INT,
+            "invalid JSON: Exceeds the limit",
+        ),
+        (
+            "train",
+            "answers.csv",
+            "question_id,answer,label\nq1,%s,correct\n" % ("x" * 200_000),
+            "CSV line 2: field larger than field limit",
+        ),
+    ],
+    ids=["train-deep-json", "grade-deep-json", "train-long-int", "grade-long-int",
+         "train-huge-csv-field"],
+)
+def test_hostile_answer_file_is_a_one_line_error(
+    tmp_path, capsys, command, name, content, message
+):
+    answers = write(tmp_path / name, content)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--answers", answers, "--out", str(out)]
+    else:
+        (tmp_path / "trees").mkdir()
+        argv = ["grade", "--trees", str(tmp_path / "trees"), "--answers", answers,
+                "--out", str(out)]
+    assert main(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_a_tree_too_deep_to_grow_is_a_one_line_error(tmp_path, capsys, command):
+    # Each answer is one word of its own and the labels alternate, so the
+    # tree is a chain of about one test per answer.
+    rows = "".join(
+        f"q1,w{i:04d}x,{'correct' if i % 2 else 'incorrect'}\n" for i in range(2400)
+    )
+    answers = write(tmp_path / "answers.csv", "question_id,answer,label\n" + rows)
+    out = tmp_path / "out"
+    assert main([command, "--answers", answers, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "question 'q1': tree nested too deep"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("bad", ["new.csv", "Q52.tree.json"])
 def test_grade_rejects_non_utf8_batch_and_tree_files(
     tmp_path, capsys, example_tree_path, bad
@@ -408,3 +477,62 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+
+
+# Pieces of hostile answer files: the structure characters of CSV and JSON,
+# header names, labels, a digit run, a byte-order mark and unsafe ids.
+PIECES = [
+    "question_id", "answer", "label", ",", '"', "'", "\n", "\r\n", "[", "]",
+    "{", "}", ":", " ", "\\", "\ufeff", "\x00", "q1", "q2", "../q", "a/b",
+    "correct", "incorrect", "0", "1", "9" * 30, "alpha", "beta", "the", "null",
+]
+hostile_text = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+
+
+@st.composite
+def input_files(draw, columns):
+    """A file suffix and content: hostile text, raw bytes, or rows laid out
+    as a file with ``columns`` in either format. The rows' answers are
+    hostile text; their ids and labels are valid or hostile text too."""
+    suffix = draw(st.sampled_from([".csv", ".json"]))
+    kind = draw(st.sampled_from(["text", "bytes", "rows", "rows"]))
+    if kind == "bytes":
+        return suffix, draw(st.binary(max_size=80))
+    if kind == "text":
+        text = draw(hostile_text)
+    else:
+        if draw(st.booleans()):
+            ids, labels = st.sampled_from(["q1", "q2"]), st.sampled_from(["1", "0"])
+        else:
+            ids = labels = hostile_text
+        fields = (ids, hostile_text, labels)[: len(columns)]
+        rows = draw(st.lists(st.tuples(*fields), max_size=8))
+        if suffix == ".json":
+            text = json.dumps([dict(zip(columns, row)) for row in rows])
+        else:
+            out = io.StringIO()
+            csv.writer(out).writerows([columns, *rows])
+            text = out.getvalue()
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return suffix, (bom + text).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(input_files(CSV_HEADER), input_files(UNGRADED_CSV_HEADER))
+def test_train_and_grade_survive_hostile_input(answers_file, batch_file):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        answers = work / ("answers" + answers_file[0])
+        batch = work / ("batch" + batch_file[0])
+        answers.write_bytes(answers_file[1])
+        batch.write_bytes(batch_file[1])
+        trees, graded = work / "trees", work / "graded.csv"
+        codes = {
+            main(["train", "--answers", str(answers), "--out", str(trees)]),
+            main(["grade", "--trees", str(trees), "--answers", str(batch),
+                  "--out", str(graded)]),
+        }
+        assert codes <= {0, 1, 2}
+        names = {answers.name, batch.name, trees.name, graded.name}
+        assert {p.name for p in work.iterdir()} <= names
+        assert all(p.parent == trees for p in trees.rglob("*"))

@@ -91,6 +91,88 @@ def test_parse_ungraded_file():
     ]
 
 
+GRADED_JSON_FIRST_BAD = json.dumps(
+    [
+        {"question_id": "q1", "answer": "valve", "label": "maybe"},
+        {"question_id": "", "answer": "apex", "label": "correct"},
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "parse, content, format, message",
+    [
+        (parse_answer_file, "", "csv", "empty CSV file"),
+        (parse_ungraded_file, "", "csv", "empty CSV file"),
+        (parse_answer_file, "{}", "json", "JSON answer file must be an array of objects"),
+        (parse_ungraded_file, "{}", "json", "JSON answer file must be an array of objects"),
+        # Blank lines count in row numbers.
+        (
+            parse_answer_file,
+            HEADER + "q1,alpha,correct\n\nq1,valve\n",
+            "csv",
+            "row 3: expected 3 columns, got 2",
+        ),
+        (
+            parse_ungraded_file,
+            "question_id,answer\n\n\nq1\n",
+            "csv",
+            "row 3: expected 2 columns, got 1",
+        ),
+        # The first bad row in file order is the one reported.
+        (
+            parse_answer_file,
+            HEADER + "q1,valve,maybe\n,apex,correct\n",
+            "csv",
+            "row 1: unknown label token 'maybe'",
+        ),
+        (
+            parse_answer_file,
+            GRADED_JSON_FIRST_BAD,
+            "json",
+            "element 0: unknown label token 'maybe'",
+        ),
+        (
+            parse_answer_file,
+            '[{"question_id": "q1", "answer": "x"}]',
+            "json",
+            "element 0: missing key(s) label",
+        ),
+        # Ungraded JSON follows the graded rules.
+        (
+            parse_ungraded_file,
+            '[{"question_id": "q1", "answer": "x"}, {"question_id": " ", "answer": "y"}]',
+            "json",
+            "element 1: empty question_id",
+        ),
+        (
+            parse_ungraded_file,
+            '[{"question_id": "q1", "answer": "x"}, {"question_id": "q2"}]',
+            "json",
+            "element 1: missing key(s) answer",
+        ),
+        (parse_ungraded_file, '[["q1", "x"]]', "json", "element 0: expected an object"),
+    ],
+)
+def test_reader_names_the_first_bad_row(parse, content, format, message):
+    with pytest.raises(AnswerFileError) as excinfo:
+        parse(content, format)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, header",
+    [(parse_answer_file, HEADER), (parse_ungraded_file, "question_id,answer\n")],
+)
+def test_reader_turns_csv_module_errors_into_answer_file_errors(parse, header):
+    # The csv module refuses a field longer than its size limit.
+    huge = "x" * (csv.field_size_limit() + 1)
+    with pytest.raises(AnswerFileError, match="^CSV line 1: field larger"):
+        parse(huge + "\n", "csv")
+    with pytest.raises(AnswerFileError, match="^CSV line 3: field larger"):
+        parse(header + "\nq1," + huge + "\n", "csv")
+
+
 def test_build_dataset_drops_blanks_and_duplicates():
     records = [
         AnswerRecord("q", "muscle", Label.CORRECT),

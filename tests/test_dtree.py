@@ -628,7 +628,7 @@ def test_vocabulary_is_kept_out_of_equality_and_hashing(example_tree_path):
 
 def test_explain_renders_the_step_list(example_tree):
     result = classify(example_tree, frozenset({"papillary", "muscles"}))
-    rendered = explain(result).render()
+    rendered = explain(result)
     assert rendered.splitlines() == [
         'First node "muscles" returns TRUE',
         'Second node "papillary" returns TRUE',
@@ -640,11 +640,12 @@ def test_explain_renders_the_step_list(example_tree):
 def test_explain_single_leaf_tree():
     tree = build_tree(dataset([("alpha", C), ("beta", C)]))
     result = classify(tree, frozenset({"alpha"}))
-    explanation = explain(result)
-    assert explanation.steps == ()
-    assert explanation.critical_word is None
-    assert "terminal node" in explanation.render()
-    assert explanation.verdict() == "answer is correct (100% significance)"
+    assert result.trace == ()
+    assert result.critical_word is None
+    assert explain(result).splitlines() == [
+        "answer is correct (100% significance)",
+        "critical decision point: terminal node",
+    ]
 
 
 # --- compiled classification pinned to the nested-node walk ---------------
@@ -769,8 +770,8 @@ def test_explain_renders_the_same_as_the_nested_node_walk(example_tree):
     rng = random.Random(8)
     for tree in (example_tree, _chain_tree(40)):
         for features in _feature_sets(rng, tree.vocabulary(), 200):
-            want = explain(_reference_classify(tree, features)).render()
-            assert explain(classify(tree, features)).render() == want
+            want = explain(_reference_classify(tree, features))
+            assert explain(classify(tree, features)) == want
 
 
 # --- serialization -----------------------------------------------------------

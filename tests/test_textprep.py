@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 from answertree.corpus import AnswerRecord, Label, build_question_dataset
 from answertree.textprep import (
     DEFAULT_STOPWORDS,
-    PreprocessConfig,
     feature_set,
     parse_stopword_file,
     preprocess,
@@ -33,11 +32,6 @@ def test_tokenize_lowercases_and_splits_on_non_alphanumeric():
         "atrio", "ventricular", "valve", "cusp",
     ]
     assert tokenize("L4, L5!") == ["l4", "l5"]
-
-
-def test_tokenize_can_preserve_case():
-    config = PreprocessConfig(lowercase=False)
-    assert tokenize("Papillary Muscles", config) == ["Papillary", "Muscles"]
 
 
 def test_remove_stopwords():
