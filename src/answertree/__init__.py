@@ -52,9 +52,7 @@ from .textprep import (
     DEFAULT_STOPWORDS,
     PreprocessConfig,
     UniqueWordCounts,
-    feature_set,
     preprocess,
-    remove_stopwords,
     tokenize,
     unique_word_counts,
 )

@@ -111,12 +111,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise corpus.CorpusError(
                 f"question id {question_id!r} is not a safe file name"
             )
+    # Build and serialize every tree before writing any, so a question that
+    # fails leaves no partial output.
+    outputs = []
     for question_id, dataset in datasets.items():
         try:
             tree = dtree.build_tree(dataset, config, trained_at=trained_at)
-            text = dtree.serialize_tree(tree)
+            outputs.append((question_id, dataset, dtree.serialize_tree(tree)))
         except RecursionError:
             raise _too_deep(question_id) from None
+    for question_id, dataset, text in outputs:
         _atomic_write(out_dir / f"{question_id}.tree.json", text)
         counts = textprep.unique_word_counts(dataset)
         print(
@@ -160,6 +164,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
     writer.writerow(
         ["question_id", "answer", "label", "certainty", "flagged", "critical_word"]
     )
+    formatted: dict[int, tuple[str, str, str, str]] = {}
     for question_id, answer in pairs:
         tree = trees.get(question_id)
         if tree is None:
@@ -170,17 +175,18 @@ def cmd_grade(args: argparse.Namespace) -> int:
             writer.writerow([question_id, answer, "incorrect", "1.0000", "false", ""])
             continue
         result = dtree.classify(tree, textprep.preprocess(answer, prep))
-        flagged = result.certainty < args.threshold or result.out_of_vocabulary
-        writer.writerow(
-            [
-                question_id,
-                answer,
+        # Results are shared per tree leaf and kept alive by their tree, so
+        # each distinct one is formatted once, keyed by identity.
+        fields = formatted.get(id(result))
+        if fields is None:
+            flagged = result.certainty < args.threshold or result.out_of_vocabulary
+            fields = formatted[id(result)] = (
                 result.label.value,
                 f"{result.certainty:.4f}",
                 "true" if flagged else "false",
                 result.critical_word or "",
-            ]
-        )
+            )
+        writer.writerow((question_id, answer, *fields))
     _atomic_write(Path(args.out), out.getvalue())
     return 0
 

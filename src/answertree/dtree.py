@@ -84,6 +84,11 @@ class DecisionTree:
     def _flat(self) -> _FlatTree:
         return _compile(self.root)
 
+    # Each reached leaf's result, keyed as in ``classify``; kept like ``_flat``.
+    @cached_property
+    def _results(self) -> dict[int, Classification]:
+        return {}
+
 
 @dataclass(frozen=True)
 class SplitEvaluation:
@@ -351,20 +356,14 @@ def build_tree(
 
 
 class _FlatTree(NamedTuple):
-    """A tree compiled into parallel arrays indexed by node, root at 0.
-
-    ``words[i]`` is None for a leaf. For an internal node, ``true_steps[i]``
-    and ``false_steps[i]`` are the trace steps its two branches record;
-    ``TraceStep`` is immutable, so every classification shares them.
-    """
+    """A tree compiled into parallel arrays indexed by node, root at 0;
+    ``words[i]`` is None for a leaf."""
 
     words: tuple[str | None, ...]
     true_index: tuple[int, ...]
     false_index: tuple[int, ...]
     labels: tuple[Label, ...]
     probabilities: tuple[float, ...]
-    true_steps: tuple[TraceStep | None, ...]
-    false_steps: tuple[TraceStep | None, ...]
     vocabulary: frozenset[str]
 
 
@@ -375,8 +374,6 @@ def _compile(root: TreeNode) -> _FlatTree:
     false_index: list[int] = []
     labels: list[Label] = []
     probabilities: list[float] = []
-    true_steps: list[TraceStep | None] = []
-    false_steps: list[TraceStep | None] = []
     # (node, index of its parent, whether it is the parent's true child)
     stack: list[tuple[TreeNode, int, bool]] = [(root, -1, False)]
     while stack:
@@ -384,69 +381,70 @@ def _compile(root: TreeNode) -> _FlatTree:
         index = len(words)
         if parent >= 0:
             (true_index if branch else false_index)[parent] = index
-        word = node.word
-        probability = node.count / node.size
-        words.append(word)
+        words.append(node.word)
         true_index.append(-1)
         false_index.append(-1)
         labels.append(node.label)
-        probabilities.append(probability)
-        if word is None:
-            true_steps.append(None)
-            false_steps.append(None)
-            continue
-        true_steps.append(TraceStep(word, True, node.label, probability))
-        false_steps.append(TraceStep(word, False, node.label, probability))
-        stack.append((node.false_child, index, False))
-        stack.append((node.true_child, index, True))
+        probabilities.append(node.count / node.size)
+        if node.word is not None:
+            stack.append((node.false_child, index, False))
+            stack.append((node.true_child, index, True))
     return _FlatTree(
         words=tuple(words),
         true_index=tuple(true_index),
         false_index=tuple(false_index),
         labels=tuple(labels),
         probabilities=tuple(probabilities),
-        true_steps=tuple(true_steps),
-        false_steps=tuple(false_steps),
         vocabulary=frozenset(w for w in words if w is not None),
     )
 
 
 def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classification:
-    """Grade one preprocessed answer by walking the compiled tree to a leaf."""
-    (words, true_index, false_index, labels, probabilities,
-     true_steps, false_steps, vocabulary) = tree._flat
+    """Grade one preprocessed answer by walking the compiled tree to a leaf.
+
+    The path to a leaf fixes its result, so a leaf's result is built the
+    first time an answer reaches it and shared by every later one. An answer
+    sharing no word with the tree fails every test and reaches the same leaf
+    as other all-false answers, but is flagged out of vocabulary: its result
+    is kept under the key -1.
+    """
+    words, true_index, false_index, _, _, vocabulary = flat = tree._flat
+    index = 0
+    while (word := words[index]) is not None:
+        index = (true_index if word in features else false_index)[index]
+    key = -1 if vocabulary.isdisjoint(features) else index
+    result = tree._results.get(key)
+    if result is None:
+        result = tree._results[key] = _leaf_result(flat, features, key == -1)
+    return result
+
+
+def _leaf_result(
+    flat: _FlatTree, features: frozenset[str] | set[str], out_of_vocabulary: bool
+) -> Classification:
+    """The result of walking ``features`` down ``flat``, with a step per test."""
+    words, true_index, false_index, labels, probabilities, _ = flat
     visited: list[TraceStep] = []
     # Trailing false tests matched none of the answer's words; the trace ends
     # at the last true test so it reads as the decisions that mattered.
     end = 0
     index = 0
-    word = words[0]
-    while word is not None:
-        if word in features:
-            visited.append(true_steps[index])
+    while (word := words[index]) is not None:
+        branch = word in features
+        visited.append(TraceStep(word, branch, labels[index], probabilities[index]))
+        if branch:
             end = len(visited)
-            index = true_index[index]
-        else:
-            visited.append(false_steps[index])
-            index = false_index[index]
-        word = words[index]
+        index = (true_index if branch else false_index)[index]
     trace = tuple(visited[:end])
+    # max keeps the first of equal steps, so ties go to the earliest.
+    critical = max(trace, key=lambda step: step.probability, default=None)
     return Classification(
         label=labels[index],
         certainty=probabilities[index],
         trace=trace,
-        critical_word=_critical_word(trace),
-        # A true test means one of the answer's words is in the tree.
-        out_of_vocabulary=not end and vocabulary.isdisjoint(features),
+        critical_word=critical.word if critical is not None else None,
+        out_of_vocabulary=out_of_vocabulary,
     )
-
-
-def _critical_word(trace: tuple[TraceStep, ...]) -> str | None:
-    best: TraceStep | None = None
-    for step in trace:
-        if best is None or step.probability > best.probability:
-            best = step
-    return best.word if best is not None else None
 
 
 def explain(classification: Classification) -> str:

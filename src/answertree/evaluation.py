@@ -392,28 +392,35 @@ def report_to_json(report: EvaluationReport) -> str:
 def rows_from_fixture_csv(content: str) -> list[QuestionRow]:
     """Read precomputed per-question results (the report CSV schema)."""
     reader = csv.reader(io.StringIO(content))
+    # The csv module's own errors (a field over its size limit, a NUL on
+    # Python 3.10) name the line as the file counts it.
     try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty fixture file") from None
-    if [h.strip() for h in header] != REPORT_CSV_HEADER:
-        raise ValueError(
-            f"bad fixture header {header!r}, expected {','.join(REPORT_CSV_HEADER)}"
-        )
-    rows = []
-    for row_num, row in enumerate(reader, start=1):
-        if not row:
-            continue
-        if len(row) != len(REPORT_CSV_HEADER):
-            raise ValueError(f"row {row_num}: expected {len(REPORT_CSV_HEADER)} columns")
-        rows.append(
-            QuestionRow(
-                question_id=row[0],
-                average_grade=float(row[1]),
-                accuracy=float(row[2]),
-                unique_all=int(row[3]),
-                unique_correct=int(row[4]),
-                unique_incorrect=int(row[5]),
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError("empty fixture file") from None
+        if [h.strip() for h in header] != REPORT_CSV_HEADER:
+            raise ValueError(
+                f"bad fixture header {header!r}, expected {','.join(REPORT_CSV_HEADER)}"
             )
-        )
+        rows = []
+        for row_num, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            if len(row) != len(REPORT_CSV_HEADER):
+                raise ValueError(
+                    f"row {row_num}: expected {len(REPORT_CSV_HEADER)} columns"
+                )
+            rows.append(
+                QuestionRow(
+                    question_id=row[0],
+                    average_grade=float(row[1]),
+                    accuracy=float(row[2]),
+                    unique_all=int(row[3]),
+                    unique_correct=int(row[4]),
+                    unique_incorrect=int(row[5]),
+                )
+            )
+    except csv.Error as exc:
+        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
     return rows

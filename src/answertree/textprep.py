@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .corpus import QuestionDataset
@@ -40,21 +40,10 @@ def tokenize(text: str) -> list[str]:
     return _WORD_LOWER.findall(text.lower())
 
 
-def remove_stopwords(
-    tokens: Iterable[str], config: PreprocessConfig = DEFAULT_CONFIG
-) -> list[str]:
-    """Drop stopword tokens, preserving the order of everything else."""
-    return [t for t in tokens if t not in config.stopwords]
-
-
-def feature_set(tokens: Iterable[str]) -> frozenset[str]:
-    """Collapse tokens to presence-only features; in-answer frequency is discarded."""
-    return frozenset(tokens)
-
-
 def preprocess(text: str, config: PreprocessConfig = DEFAULT_CONFIG) -> frozenset[str]:
-    """Full pipeline: tokenize, remove stopwords, collapse to a word set."""
-    return feature_set(remove_stopwords(tokenize(text), config))
+    """Full pipeline: tokenize, collapse to a presence-only word set (in-answer
+    frequency is discarded) and remove stopwords."""
+    return frozenset(_WORD_LOWER.findall(text.lower())) - config.stopwords
 
 
 def parse_stopword_file(content: str) -> frozenset[str]:

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 
 from answertree.cli import main
 from answertree.corpus import CSV_HEADER, UNGRADED_CSV_HEADER
+from answertree.dtree import classify, deserialize_tree
+from answertree.evaluation import REPORT_CSV_HEADER
+from answertree.textprep import preprocess
 
 GRADED = """question_id,answer,label
 q1,alpha one,correct
@@ -120,6 +123,57 @@ def test_grade_end_to_end(tmp_path, reproducible_clock):
         "flagged": "false",
         "critical_word": "",
     }
+
+
+# Two questions; repeated answers, out-of-vocabulary answers, blanks, and an
+# answer that fails every test of Q52 yet uses one of its words ("papillary").
+GRADE_BATCH = [
+    ("Q52", "The papillary muscles"), ("q1", "alpha something"), ("Q52", "   "),
+    ("Q52", "papillary muscles"), ("Q52", "atrial papillary muscles"),
+    ("q1", "totally novel words"), ("Q52", "subvalvular apparatus"),
+    ("Q52", "ventricle septum"), ("q1", ""), ("Q52", "papillary"),
+    ("q1", "wrong one"), ("Q52", "muscles"), ("q1", "alpha something"),
+    ("Q52", "septum"), ("Q52", "papillary"), ("q1", "totally novel words"),
+    ("Q52", "The papillary muscles"), ("q2", "beta gamma"), ("q2", "gamma"),
+]
+
+
+@pytest.mark.parametrize("threshold", ["0", "0.7", "1"])
+def test_grade_output_equals_rows_formatted_from_classify(
+    tmp_path, reproducible_clock, example_tree_path, threshold
+):
+    trees = tmp_path / "trees"
+    answers = write(tmp_path / "answers.csv", GRADED)
+    assert main(["train", "--answers", answers, "--out", str(trees)]) == 0
+    shutil.copy(example_tree_path, trees / "Q52.tree.json")
+    batch = io.StringIO()
+    csv.writer(batch, lineterminator="\n").writerows([UNGRADED_CSV_HEADER, *GRADE_BATCH])
+    ungraded = write(tmp_path / "new.csv", batch.getvalue())
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv + ["--threshold", threshold]) == 0
+
+    # Fresh trees, and every row formatted from its own classify result.
+    loaded = {
+        path.name.split(".")[0]: deserialize_tree(path.read_text(encoding="utf-8"))
+        for path in trees.glob("*.tree.json")
+    }
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(
+        ["question_id", "answer", "label", "certainty", "flagged", "critical_word"]
+    )
+    for question_id, answer in GRADE_BATCH:
+        if not answer.strip():
+            writer.writerow([question_id, answer, "incorrect", "1.0000", "false", ""])
+            continue
+        result = classify(loaded[question_id], preprocess(answer))
+        flagged = result.certainty < float(threshold) or result.out_of_vocabulary
+        writer.writerow([
+            question_id, answer, result.label.value, f"{result.certainty:.4f}",
+            str(flagged).lower(), result.critical_word or "",
+        ])
+    assert out.read_bytes() == want.getvalue().encode("utf-8")
 
 
 def test_grade_missing_tree_is_exit_1(tmp_path, capsys):
@@ -288,6 +342,22 @@ def test_a_tree_too_deep_to_grow_is_a_one_line_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_train_writes_no_tree_when_a_later_question_fails(tmp_path, capsys):
+    # q0 trains; q1's tree is too deep to grow (see the test above).
+    rows = "".join(
+        f"q1,w{i:04d}x,{'correct' if i % 2 else 'incorrect'}\n" for i in range(2400)
+    )
+    answers = write(
+        tmp_path / "answers.csv",
+        "question_id,answer,label\nq0,alpha,correct\nq0,beta,incorrect\n" + rows,
+    )
+    out = tmp_path / "out"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "question 'q1': tree nested too deep"
+    assert not list(tmp_path.rglob("*.tree.json"))
+
+
 @pytest.mark.parametrize("bad", ["new.csv", "Q52.tree.json"])
 def test_grade_rejects_non_utf8_batch_and_tree_files(
     tmp_path, capsys, example_tree_path, bad
@@ -438,6 +508,16 @@ def test_stats_bad_fixture_is_exit_1(tmp_path, capsys):
     bad = write(tmp_path / "bad.csv", "a,b\n1,2\n")
     assert main(["stats", "--fixture", bad, "--out", str(tmp_path / "o.json")]) == 1
     assert "bad fixture header" in capsys.readouterr().err
+
+
+def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, capsys):
+    header = ",".join(REPORT_CSV_HEADER)
+    bad = write(tmp_path / "bad.csv", f"{header}\nQ1,{'9' * 200_000},1,1,1,1\n")
+    out = tmp_path / "o.json"
+    assert main(["stats", "--fixture", bad, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("CSV line 2: field larger than field limit")
+    assert not out.exists()
 
 
 def test_explain_prints_the_trace(tmp_path, capsys, example_tree_path):

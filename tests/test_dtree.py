@@ -766,6 +766,66 @@ def test_classify_walks_a_depth_3000_chain():
         assert classify(tree, features) == _reference_classify(tree, features)
 
 
+def test_classify_reuses_one_result_per_leaf(example_tree_path):
+    rng = random.Random(11)
+    pool = ["alpha", "beta", "gamma", "delta", "eps"]
+    trees = [deserialize_tree(example_tree_path.read_text(encoding="utf-8"))]
+    trees += [build_tree(_random_conflict_free_dataset(rng, pool)) for _ in range(20)]
+    for tree in trees:
+        for features in _feature_sets(rng, _reference_vocabulary(tree.root), 30):
+            want = _reference_classify(tree, features)
+            first = classify(tree, features)
+            # The second and third calls take the result from the memo.
+            assert first == classify(tree, features) == classify(tree, features) == want
+            assert classify(tree, set(features)) is first
+
+
+def _all_false_answers(tree):
+    """An in-vocabulary and an out-of-vocabulary answer that both fail every
+    test, and so reach the same leaf."""
+    on_path, node = set(), tree.root
+    while not node.is_leaf:
+        on_path.add(node.word)
+        node = node.false_child
+    off_path = sorted(_reference_vocabulary(tree.root) - on_path)
+    return frozenset(off_path[:1]), frozenset({"outside"})
+
+
+@pytest.mark.parametrize("inside_first", [True, False])
+def test_all_false_leaf_keeps_in_and_out_of_vocabulary_results_apart(
+    example_tree_path, inside_first
+):
+    example = deserialize_tree(example_tree_path.read_text(encoding="utf-8"))
+    for tree in (example, _chain_tree(6)):
+        inside, outside = _all_false_answers(tree)
+        assert inside and tree.vocabulary().isdisjoint(outside)
+        for features in [inside, outside] if inside_first else [outside, inside]:
+            assert classify(tree, features) == _reference_classify(tree, features)
+        assert not classify(tree, inside).out_of_vocabulary
+        assert classify(tree, outside).out_of_vocabulary
+        assert classify(tree, inside).trace == classify(tree, outside).trace == ()
+        assert len(tree._results) == 2
+
+
+def test_leaf_results_are_kept_out_of_equality_hashing_and_repr(example_tree_path):
+    text = example_tree_path.read_text(encoding="utf-8")
+    used, fresh = deserialize_tree(text), deserialize_tree(text)
+    answers = [{"muscles", "papillary"}, {"papillary"}, {"septum"}, {"subvalvular"}]
+    for words in answers + [set()]:  # the empty answer shares {"septum"}'s result
+        classify(used, frozenset(words))
+    assert len(vars(used)["_results"]) == 4 and "_results" not in vars(fresh)
+    assert used == fresh and hash(used) == hash(fresh)
+    assert repr(used) == repr(fresh)
+
+
+def test_classify_builds_only_the_reached_leafs_result_on_a_deep_chain():
+    tree = _chain_tree(3000)
+    every_even = frozenset(f"w{i}" for i in range(0, 3000, 2))
+    assert len(classify(tree, every_even).trace) == 2999
+    (result,) = tree._results.values()
+    assert result == _reference_classify(tree, every_even)
+
+
 def test_explain_renders_the_same_as_the_nested_node_walk(example_tree):
     rng = random.Random(8)
     for tree in (example_tree, _chain_tree(40)):

@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 from answertree.corpus import AnswerRecord, Label, build_question_dataset
 from answertree.textprep import (
     DEFAULT_STOPWORDS,
-    feature_set,
+    PreprocessConfig,
     parse_stopword_file,
     preprocess,
-    remove_stopwords,
     tokenize,
     unique_word_counts,
 )
@@ -34,18 +33,19 @@ def test_tokenize_lowercases_and_splits_on_non_alphanumeric():
     assert tokenize("L4, L5!") == ["l4", "l5"]
 
 
-def test_remove_stopwords():
-    assert remove_stopwords(["the", "papillary", "muscle"]) == ["papillary", "muscle"]
-    assert remove_stopwords(["a", "an", "of"]) == []
-    assert remove_stopwords(["subvalvular", "apparatus"]) == [
-        "subvalvular", "apparatus",
-    ]
+def test_preprocess_removes_stopwords():
+    assert preprocess("the papillary muscle") == {"papillary", "muscle"}
+    assert preprocess("a an of") == frozenset()
+    assert preprocess("subvalvular apparatus") == {"subvalvular", "apparatus"}
+    custom = PreprocessConfig(stopwords=frozenset({"valve"}))
+    assert preprocess("the mitral valve", custom) == {"the", "mitral"}
 
 
-def test_feature_set_collapses_duplicates():
-    assert feature_set(["valve", "valve", "mitral"]) == {"valve", "mitral"}
-    assert feature_set([]) == frozenset()
-    assert feature_set(["papillary", "muscles"]) == {"papillary", "muscles"}
+def test_preprocess_collapses_duplicates():
+    assert preprocess("valve valve mitral") == {"valve", "mitral"}
+    assert preprocess("") == frozenset()
+    assert preprocess("Papillary papillary MUSCLES") == {"papillary", "muscles"}
+    assert type(preprocess("valve")) is frozenset
 
 
 def test_preprocess_pipeline():
@@ -67,10 +67,18 @@ def test_tokenize_idempotent_on_its_own_output(text):
     assert tokenize(" ".join(tokens)) == tokens
 
 
-@given(st.lists(words, max_size=30))
-def test_remove_stopwords_idempotent_and_never_grows(tokens):
-    once = remove_stopwords(tokens)
-    assert remove_stopwords(once) == once
+@given(
+    st.text(max_size=200)
+    | st.lists(st.sampled_from(sorted(EXPECTED_STOPWORDS)) | words, max_size=30).map(
+        " ".join
+    )
+)
+def test_preprocess_idempotent_and_never_grows(text):
+    once = preprocess(text)
+    assert preprocess(" ".join(once)) == once
+    # The set of the text's tokens that are not stopwords, and nothing more.
+    tokens = tokenize(text)
+    assert once == frozenset(t for t in tokens if t not in DEFAULT_STOPWORDS)
     assert len(once) <= len(tokens)
 
 
