@@ -93,11 +93,6 @@ def _build_datasets(
     return datasets
 
 
-def _too_deep(question_id: str) -> corpus.CorpusError:
-    # The grower and the serializer recurse once per tree level.
-    return corpus.CorpusError(f"question {question_id!r}: tree nested too deep")
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     prep = _load_prep(args.stopwords)
     datasets = _build_datasets(_load_records(args.answers), prep)
@@ -115,11 +110,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     # fails leaves no partial output.
     outputs = []
     for question_id, dataset in datasets.items():
-        try:
-            tree = dtree.build_tree(dataset, config, trained_at=trained_at)
-            outputs.append((question_id, dataset, dtree.serialize_tree(tree)))
+        tree = dtree.build_tree(dataset, config, trained_at=trained_at)
+        try:  # the JSON writer recurses once per tree level
+            text = dtree.serialize_tree(tree)
         except RecursionError:
-            raise _too_deep(question_id) from None
+            message = f"question {question_id!r}: tree nested too deep"
+            raise corpus.CorpusError(message) from None
+        outputs.append((question_id, dataset, text))
     for question_id, dataset, text in outputs:
         _atomic_write(out_dir / f"{question_id}.tree.json", text)
         counts = textprep.unique_word_counts(dataset)
@@ -207,10 +204,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         plan = evaluation.make_stratified_folds(
             [s.label for s in dataset.samples], args.k, args.seed
         )
-        try:
-            accuracy = evaluation.cross_validate(dataset, config, plan)
-        except RecursionError:
-            raise _too_deep(question_id) from None
+        accuracy = evaluation.cross_validate(dataset, config, plan)
         rows.append(evaluation.make_row(accuracy, textprep.unique_word_counts(dataset)))
     if not rows:
         print("no question had enough samples to evaluate", file=sys.stderr)

@@ -13,7 +13,7 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset, Sample
@@ -35,7 +35,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One tree node. Internal nodes carry a word test; leaves carry none.
+    """One node of a tree's nested view. Internal nodes carry a word test;
+    leaves carry none.
 
     ``count``/``size`` keep the label probability as an exact rational so
     serialization round-trips bit-stably.
@@ -48,16 +49,6 @@ class TreeNode:
     true_child: "TreeNode | None" = None
     false_child: "TreeNode | None" = None
 
-    def __post_init__(self) -> None:
-        if self.size < 1 or not 0 <= self.count <= self.size:
-            raise ValueError(f"bad node counts {self.count}/{self.size}")
-        has_children = self.true_child is not None and self.false_child is not None
-        no_children = self.true_child is None and self.false_child is None
-        if self.word is None and not no_children:
-            raise ValueError("leaf node must not have children")
-        if self.word is not None and not has_children:
-            raise ValueError("internal node must have both children")
-
     @property
     def probability(self) -> float:
         return self.count / self.size
@@ -69,25 +60,84 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class DecisionTree:
+    """A tree as parallel arrays indexed by node, in preorder: the root at 0,
+    each true subtree before its false one. ``words[i]`` is None for a leaf,
+    whose child indices are -1, and ``counts[i] / sizes[i]`` is the
+    probability of ``labels[i]``. Every field is flat, so ``==`` and
+    ``hash`` do not recurse however deep the tree is.
+    """
+
     question_id: str
-    root: TreeNode
+    words: tuple[str | None, ...]
+    true_index: tuple[int, ...]
+    false_index: tuple[int, ...]
+    labels: tuple[Label, ...]
+    counts: tuple[int, ...]
+    sizes: tuple[int, ...]
     config: TrainConfig = TrainConfig()
     trained_at: str = ""
 
     def vocabulary(self) -> frozenset[str]:
         """All words tested anywhere in the tree."""
-        return self._flat.vocabulary
+        return self._vocabulary
 
-    # Compiled on first use and kept in the instance dict: not a dataclass
+    # Built on first use and kept in the instance dict: not a dataclass
     # field, so it stays out of __eq__, __hash__ and __repr__.
     @cached_property
-    def _flat(self) -> _FlatTree:
-        return _compile(self.root)
+    def _vocabulary(self) -> frozenset[str]:
+        return frozenset(w for w in self.words if w is not None)
 
-    # Each reached leaf's result, keyed as in ``classify``; kept like ``_flat``.
+    # Each reached leaf's result, keyed as in ``classify``; kept like
+    # ``_vocabulary``.
     @cached_property
     def _results(self) -> dict[int, Classification]:
         return {}
+
+    @property
+    def root(self) -> TreeNode:
+        """The tree as nested nodes, built bottom-up: in preorder a node's
+        children come after it. A leaf's child index -1 reads the spare last
+        slot, which stays None."""
+        nodes: list[TreeNode | None] = [None] * (len(self.words) + 1)
+        for i in reversed(range(len(self.words))):
+            nodes[i] = TreeNode(
+                self.labels[i], self.counts[i], self.sizes[i], self.words[i],
+                nodes[self.true_index[i]], nodes[self.false_index[i]],
+            )
+        return nodes[0]
+
+    @classmethod
+    def from_root(
+        cls, question_id: str, root: TreeNode, config: TrainConfig = TrainConfig()
+    ) -> DecisionTree:
+        """Lay nested nodes out in preorder with one iterative walk."""
+        rows: list[list] = []
+        stack: list[tuple[TreeNode, int, bool]] = [(root, -1, False)]
+        while stack:
+            node, parent, branch = stack.pop()
+            row = [node.word, -1, -1, node.label, node.count, node.size]
+            index = _add(rows, parent, branch, row)
+            if node.word is not None:
+                stack.append((node.false_child, index, False))
+                stack.append((node.true_child, index, True))
+        return _tree(question_id, rows, config, "")
+
+
+def _add(rows: list[list], parent: int, branch: bool, row: list) -> int:
+    """Append ``row`` (word, true child, false child, label, count, size) as
+    the true or false child of row ``parent``, or as the root; its index."""
+    index = len(rows)
+    if parent >= 0:
+        rows[parent][1 if branch else 2] = index
+    rows.append(row)
+    return index
+
+
+def _tree(
+    question_id: str, rows: list[list], config: TrainConfig, trained_at: str
+) -> DecisionTree:
+    """The tree whose nodes are ``rows``, as ``_add`` laid them out."""
+    return DecisionTree(question_id, *map(tuple, zip(*rows)), config, trained_at)
 
 
 @dataclass(frozen=True)
@@ -138,6 +188,8 @@ def _ordinal(position: int) -> str:
     return f"{position}th"
 
 
+# A pure function of two ints, so a cached result is the same float.
+@cache
 def entropy(correct: int, incorrect: int) -> float:
     """Impurity in bits of a set with the given class counts; 0*log2(0) = 0."""
     total = correct + incorrect
@@ -149,11 +201,6 @@ def entropy(correct: int, incorrect: int) -> float:
             p = part / total
             result -= p * math.log2(p)
     return result
-
-
-def _class_counts(samples: list[Sample] | tuple[Sample, ...]) -> tuple[int, int]:
-    correct = sum(1 for s in samples if s.label is Label.CORRECT)
-    return correct, len(samples) - correct
 
 
 def _split_entropies(
@@ -220,9 +267,9 @@ def evaluate_split(
     true_side = [s for s in samples if word in s.features]
     return _split_from_counts(
         word,
-        _class_counts(true_side)[0],
+        sum(s.label is Label.CORRECT for s in true_side),
         len(true_side),
-        _class_counts(samples)[0],
+        sum(s.label is Label.CORRECT for s in samples),
         len(samples),
         current_entropy,
     )
@@ -234,11 +281,14 @@ class _Node(NamedTuple):
     Bit ``i`` of ``mask`` stands for sample ``i``. ``word_masks`` maps each
     word to the mask of the samples containing it and ``correct`` is the
     mask of the correct samples; every node of one tree shares both.
+    ``select_best_rule`` appends to ``live`` each candidate that splits the
+    node.
     """
 
     mask: int
     word_masks: dict[str, int]
     correct: int
+    live: list[str]
 
 
 def _index(samples: Sequence[Sample]) -> _Node:
@@ -251,7 +301,7 @@ def _index(samples: Sequence[Sample]) -> _Node:
             correct |= bit
         for word in s.features:
             word_masks[word] = word_masks.get(word, 0) | bit
-    return _Node((1 << len(samples)) - 1, word_masks, correct)
+    return _Node((1 << len(samples)) - 1, word_masks, correct, [])
 
 
 def select_best_rule(
@@ -263,15 +313,17 @@ def select_best_rule(
     """Pick the candidate word with the greatest information gain.
 
     ``samples`` is a sequence of samples, which is indexed on entry, or a
-    node of the grower. Each candidate is scored from two counts: the
-    node's samples containing it and how many of those are correct. Returns
-    None when no candidate gains more than ``min_gain``. A word present in
-    all samples or in none never splits. Iterating in sorted order with a
-    strict comparison makes ties resolve to the lexicographically smallest
-    word.
+    node of the grower, whose candidates must already be sorted. Each
+    candidate is scored from two counts: the node's samples containing it
+    and how many of those are correct. Returns None when no candidate gains
+    more than ``min_gain``. A word present in all samples or in none never
+    splits; every other candidate is appended to the node's ``live`` list,
+    in order. Iterating in sorted order with a strict comparison makes ties
+    resolve to the lexicographically smallest word.
     """
     node = samples if isinstance(samples, _Node) else _index(samples)
-    mask, word_masks, correct_mask = node
+    words = candidate_words if node is samples else sorted(candidate_words)
+    mask, word_masks, correct_mask, live = node
     correct_mask &= mask
     total = mask.bit_count()
     correct = correct_mask.bit_count()
@@ -281,11 +333,12 @@ def select_best_rule(
     best_word: str | None = None
     best_gain = 0.0
     best_counts = (0, 0)
-    for word in sorted(candidate_words):
+    for word in words:
         true_mask = mask & word_masks.get(word, 0)
         true_size = true_mask.bit_count()
         if true_size == 0 or true_size == total:
             continue
+        live.append(word)
         key = ((true_mask & correct_mask).bit_count(), true_size)
         gain = gains.get(key)
         if gain is None:
@@ -307,100 +360,50 @@ def _majority(correct: int, incorrect: int, config: TrainConfig) -> tuple[Label,
     return config.leaf_tie_label, correct
 
 
-def _grow(node: _Node, words: list[str], config: TrainConfig) -> TreeNode:
-    """Grow the subtree over ``node``'s samples.
-
-    ``words`` is the sorted list of words that split the parent; those that
-    also split this node (present in some but not all of its samples) are
-    its candidates. A word tested on the path is in all or none of the
-    node's samples, so it is never one of them.
-    """
-    mask, word_masks, correct_mask = node
-    size = mask.bit_count()
-    correct = (mask & correct_mask).bit_count()
-    incorrect = size - correct
-    label, count = _majority(correct, incorrect, config)
-    if correct == 0 or incorrect == 0:
-        return TreeNode(label=label, count=count, size=size)
-    live = [w for w in words if (m := mask & word_masks[w]) and m != mask]
-    choice = select_best_rule(node, live, entropy(correct, incorrect), config.min_gain)
-    if choice is None:
-        return TreeNode(label=label, count=count, size=size)
-    word, _ = choice
-    word_mask = word_masks[word]
-    true_side = _Node(mask & word_mask, word_masks, correct_mask)
-    false_side = _Node(mask & ~word_mask, word_masks, correct_mask)
-    return TreeNode(
-        label=label,
-        count=count,
-        size=size,
-        word=word,
-        true_child=_grow(true_side, live, config),
-        false_child=_grow(false_side, live, config),
-    )
-
-
 def build_tree(
     dataset: QuestionDataset, config: TrainConfig = TrainConfig(), trained_at: str = ""
 ) -> DecisionTree:
-    """Train a tree on a question dataset, recursing until purity or no gain."""
+    """Train a tree on a question dataset, splitting until purity or no gain.
+
+    Nodes are grown from an explicit stack straight into the tree's preorder
+    arrays. A node's candidates are the words that split its parent, which
+    ``select_best_rule`` left in the parent's ``live`` list, already sorted.
+    A word tested on the path is in all or none of the node's samples, so it
+    never splits again.
+    """
     if not dataset.samples:
         raise ValueError(f"question {dataset.question_id!r}: empty dataset")
     root = _index(dataset.samples)
-    return DecisionTree(
-        question_id=dataset.question_id,
-        root=_grow(root, sorted(root.word_masks), config),
-        config=config,
-        trained_at=trained_at,
-    )
-
-
-class _FlatTree(NamedTuple):
-    """A tree compiled into parallel arrays indexed by node, root at 0;
-    ``words[i]`` is None for a leaf."""
-
-    words: tuple[str | None, ...]
-    true_index: tuple[int, ...]
-    false_index: tuple[int, ...]
-    labels: tuple[Label, ...]
-    probabilities: tuple[float, ...]
-    vocabulary: frozenset[str]
-
-
-def _compile(root: TreeNode) -> _FlatTree:
-    """Lay a tree out in preorder with one iterative walk."""
-    words: list[str | None] = []
-    true_index: list[int] = []
-    false_index: list[int] = []
-    labels: list[Label] = []
-    probabilities: list[float] = []
-    # (node, index of its parent, whether it is the parent's true child)
-    stack: list[tuple[TreeNode, int, bool]] = [(root, -1, False)]
+    _, word_masks, correct_mask, _ = root
+    rows: list[list] = []
+    # (mask, candidates, index of the parent, whether it is the true child)
+    stack: list[tuple[int, list[str], int, bool]] = [
+        (root.mask, sorted(word_masks), -1, False)
+    ]
     while stack:
-        node, parent, branch = stack.pop()
-        index = len(words)
-        if parent >= 0:
-            (true_index if branch else false_index)[parent] = index
-        words.append(node.word)
-        true_index.append(-1)
-        false_index.append(-1)
-        labels.append(node.label)
-        probabilities.append(node.count / node.size)
-        if node.word is not None:
-            stack.append((node.false_child, index, False))
-            stack.append((node.true_child, index, True))
-    return _FlatTree(
-        words=tuple(words),
-        true_index=tuple(true_index),
-        false_index=tuple(false_index),
-        labels=tuple(labels),
-        probabilities=tuple(probabilities),
-        vocabulary=frozenset(w for w in words if w is not None),
-    )
+        mask, candidates, parent, branch = stack.pop()
+        size = mask.bit_count()
+        correct = (mask & correct_mask).bit_count()
+        incorrect = size - correct
+        label, count = _majority(correct, incorrect, config)
+        word = None
+        if correct and incorrect:
+            node = _Node(mask, word_masks, correct_mask, [])
+            choice = select_best_rule(
+                node, candidates, entropy(correct, incorrect), config.min_gain
+            )
+            if choice is not None:
+                word = choice[0]
+        index = _add(rows, parent, branch, [word, -1, -1, label, count, size])
+        if word is not None:
+            word_mask = word_masks[word]
+            stack.append((mask & ~word_mask, node.live, index, False))
+            stack.append((mask & word_mask, node.live, index, True))
+    return _tree(dataset.question_id, rows, config, trained_at)
 
 
 def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classification:
-    """Grade one preprocessed answer by walking the compiled tree to a leaf.
+    """Grade one preprocessed answer by walking the tree's arrays to a leaf.
 
     The path to a leaf fixes its result, so a leaf's result is built the
     first time an answer reaches it and shared by every later one. An answer
@@ -408,22 +411,23 @@ def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classif
     as other all-false answers, but is flagged out of vocabulary: its result
     is kept under the key -1.
     """
-    words, true_index, false_index, _, _, vocabulary = flat = tree._flat
+    words, true_index, false_index = tree.words, tree.true_index, tree.false_index
     index = 0
     while (word := words[index]) is not None:
         index = (true_index if word in features else false_index)[index]
-    key = -1 if vocabulary.isdisjoint(features) else index
+    key = -1 if tree._vocabulary.isdisjoint(features) else index
     result = tree._results.get(key)
     if result is None:
-        result = tree._results[key] = _leaf_result(flat, features, key == -1)
+        result = tree._results[key] = _leaf_result(tree, features, key == -1)
     return result
 
 
 def _leaf_result(
-    flat: _FlatTree, features: frozenset[str] | set[str], out_of_vocabulary: bool
+    tree: DecisionTree, features: frozenset[str] | set[str], out_of_vocabulary: bool
 ) -> Classification:
-    """The result of walking ``features`` down ``flat``, with a step per test."""
-    words, true_index, false_index, labels, probabilities, _ = flat
+    """The result of walking ``features`` down ``tree``, with a step per test."""
+    words, true_index, false_index = tree.words, tree.true_index, tree.false_index
+    labels, counts, sizes = tree.labels, tree.counts, tree.sizes
     visited: list[TraceStep] = []
     # Trailing false tests matched none of the answer's words; the trace ends
     # at the last true test so it reads as the decisions that mattered.
@@ -431,7 +435,8 @@ def _leaf_result(
     index = 0
     while (word := words[index]) is not None:
         branch = word in features
-        visited.append(TraceStep(word, branch, labels[index], probabilities[index]))
+        probability = counts[index] / sizes[index]
+        visited.append(TraceStep(word, branch, labels[index], probability))
         if branch:
             end = len(visited)
         index = (true_index if branch else false_index)[index]
@@ -440,7 +445,7 @@ def _leaf_result(
     critical = max(trace, key=lambda step: step.probability, default=None)
     return Classification(
         label=labels[index],
-        certainty=probabilities[index],
+        certainty=counts[index] / sizes[index],
         trace=trace,
         critical_word=critical.word if critical is not None else None,
         out_of_vocabulary=out_of_vocabulary,
@@ -467,20 +472,20 @@ def explain(classification: Classification) -> str:
     return "\n".join(lines)
 
 
-def _node_to_obj(node: TreeNode) -> dict:
-    obj: dict = {}
-    if node.word is not None:
-        obj["word"] = node.word
-    obj["label"] = node.label.value
-    obj["count"] = node.count
-    obj["size"] = node.size
-    if node.word is not None:
-        obj["true"] = _node_to_obj(node.true_child)
-        obj["false"] = _node_to_obj(node.false_child)
-    return obj
-
-
 def serialize_tree(tree: DecisionTree) -> str:
+    """The tree as a nested v1 document. Each node's object holds its
+    children's, so the objects are built bottom-up, in reverse preorder."""
+    objs: list = [None] * len(tree.words)
+    for i in reversed(range(len(tree.words))):
+        word = tree.words[i]
+        obj: dict = {} if word is None else {"word": word}
+        obj["label"] = tree.labels[i].value
+        obj["count"] = tree.counts[i]
+        obj["size"] = tree.sizes[i]
+        if word is not None:
+            obj["true"] = objs[tree.true_index[i]]
+            obj["false"] = objs[tree.false_index[i]]
+        objs[i] = obj
     document = {
         "question_id": tree.question_id,
         "trained_at": tree.trained_at,
@@ -488,49 +493,16 @@ def serialize_tree(tree: DecisionTree) -> str:
             "min_gain": tree.config.min_gain,
             "leaf_tie_label": tree.config.leaf_tie_label.value,
         },
-        "root": _node_to_obj(tree.root),
+        "root": objs[0],
     }
+    # The writer recurses once per level and fails past about 1,000 of
+    # them, as json.loads does: a tree it can write can be read back.
     return json.dumps(document, indent=2) + "\n"
 
 
 # JSON true/false load as bool, which Python counts as an int.
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _node_from_obj(obj: object, where: str) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise TreeFormatError(f"{where}: node must be an object")
-    try:
-        label = Label(obj["label"])
-    except KeyError:
-        raise TreeFormatError(f"{where}: missing label") from None
-    except ValueError:
-        raise TreeFormatError(f"{where}: unknown label {obj['label']!r}") from None
-    count = obj.get("count")
-    size = obj.get("size")
-    if not (_is_int(count) and _is_int(size)):
-        raise TreeFormatError(f"{where}: count and size must be integers")
-    word = obj.get("word")
-    has_true = "true" in obj
-    has_false = "false" in obj
-    if word is None:
-        if has_true or has_false:
-            raise TreeFormatError(f"{where}: leaf node must not have children")
-        children: dict = {}
-    else:
-        if not isinstance(word, str):
-            raise TreeFormatError(f"{where}: word must be a string")
-        if not (has_true and has_false):
-            raise TreeFormatError(f"{where}: internal node needs both children")
-        children = {
-            "true_child": _node_from_obj(obj["true"], f"{where}.true"),
-            "false_child": _node_from_obj(obj["false"], f"{where}.false"),
-        }
-    try:
-        return TreeNode(label=label, count=count, size=size, word=word, **children)
-    except ValueError as exc:
-        raise TreeFormatError(f"{where}: {exc}") from exc
 
 
 def deserialize_tree(text: str) -> DecisionTree:
@@ -558,13 +530,40 @@ def deserialize_tree(text: str) -> DecisionTree:
     if not (number and 0.0 <= min_gain <= sys.float_info.max):
         raise TreeFormatError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
     config = TrainConfig(min_gain=float(min_gain), leaf_tie_label=tie_label)
-    try:
-        root = _node_from_obj(document["root"], "root")
-    except RecursionError:
-        raise TreeFormatError("tree nested too deep") from None
-    return DecisionTree(
-        question_id=str(document.get("question_id", "")),
-        root=root,
-        config=config,
-        trained_at=str(document.get("trained_at", "")),
-    )
+    rows: list[list] = []
+    # (node object, its path for messages, index of the parent, whether it
+    # is the true child), popped in preorder
+    stack: list[tuple[object, str, int, bool]] = [(document["root"], "root", -1, False)]
+    while stack:
+        obj, where, parent, branch = stack.pop()
+        if not isinstance(obj, dict):
+            raise TreeFormatError(f"{where}: node must be an object")
+        try:
+            label = Label(obj["label"])
+        except KeyError:
+            raise TreeFormatError(f"{where}: missing label") from None
+        except ValueError:
+            raise TreeFormatError(f"{where}: unknown label {obj['label']!r}") from None
+        count = obj.get("count")
+        size = obj.get("size")
+        if not (_is_int(count) and _is_int(size)):
+            raise TreeFormatError(f"{where}: count and size must be integers")
+        if size < 1 or not 0 <= count <= size:
+            raise TreeFormatError(f"{where}: bad node counts {count}/{size}")
+        word = obj.get("word")
+        has_true = "true" in obj
+        has_false = "false" in obj
+        if word is None:
+            if has_true or has_false:
+                raise TreeFormatError(f"{where}: leaf node must not have children")
+        else:
+            if not isinstance(word, str):
+                raise TreeFormatError(f"{where}: word must be a string")
+            if not (has_true and has_false):
+                raise TreeFormatError(f"{where}: internal node needs both children")
+        index = _add(rows, parent, branch, [word, -1, -1, label, count, size])
+        if word is not None:
+            stack.append((obj["false"], f"{where}.false", index, False))
+            stack.append((obj["true"], f"{where}.true", index, True))
+    question_id = str(document.get("question_id", ""))
+    return _tree(question_id, rows, config, str(document.get("trained_at", "")))

@@ -16,6 +16,7 @@ import random
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .corpus import Label, QuestionDataset
 from .dtree import TrainConfig, build_tree, classify
@@ -41,12 +42,6 @@ class FoldPlan:
     k: int
     seed: int
     assignments: tuple[int, ...]
-
-    def test_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f == fold]
-
-    def train_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignments) if f != fold]
 
 
 def make_folds(n_samples: int, k: int = 10, seed: int = 0) -> FoldPlan:
@@ -101,10 +96,13 @@ def cross_validate(
             f"fold plan covers {len(fold_plan.assignments)} samples, "
             f"dataset has {len(samples)}"
         )
+    folds: list[list] = [[] for _ in range(fold_plan.k)]
+    for sample, fold in zip(samples, fold_plan.assignments):
+        folds[fold].append(sample)
     per_fold = []
-    for fold in range(fold_plan.k):
-        train = tuple(samples[i] for i in fold_plan.train_indices(fold))
-        test = [samples[i] for i in fold_plan.test_indices(fold)]
+    for fold, test in enumerate(folds):
+        # The other folds in turn; a tree does not depend on sample order.
+        train = tuple(chain.from_iterable(folds[:fold] + folds[fold + 1 :]))
         if not train:
             raise FoldError(f"fold {fold}: empty training split")
         if not test:
@@ -389,6 +387,20 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
+def _fixture_number(row_num: int, column: str, text: str) -> float | int:
+    """A fixture row's number cell: a finite float, or an int for word counts."""
+    kind = float if column in ("average_grade", "dt_accuracy") else int
+    try:
+        value = kind(text)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ValueError(f"row {row_num}: {column} {text!r} is not {noun}") from None
+    # nan or inf would give meaningless correlations and invalid JSON.
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"row {row_num}: {column} {text!r} is not a finite number")
+    return value
+
+
 def rows_from_fixture_csv(content: str) -> list[QuestionRow]:
     """Read precomputed per-question results (the report CSV schema)."""
     reader = csv.reader(io.StringIO(content))
@@ -411,16 +423,11 @@ def rows_from_fixture_csv(content: str) -> list[QuestionRow]:
                 raise ValueError(
                     f"row {row_num}: expected {len(REPORT_CSV_HEADER)} columns"
                 )
-            rows.append(
-                QuestionRow(
-                    question_id=row[0],
-                    average_grade=float(row[1]),
-                    accuracy=float(row[2]),
-                    unique_all=int(row[3]),
-                    unique_correct=int(row[4]),
-                    unique_incorrect=int(row[5]),
-                )
-            )
+            numbers = [
+                _fixture_number(row_num, column, text)
+                for column, text in zip(REPORT_CSV_HEADER[1:], row[1:])
+            ]
+            rows.append(QuestionRow(row[0], *numbers))
     except csv.Error as exc:
         raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
     return rows

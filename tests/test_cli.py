@@ -327,19 +327,35 @@ def test_hostile_answer_file_is_a_one_line_error(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_a_tree_too_deep_to_grow_is_a_one_line_error(tmp_path, capsys, command):
+def _chain_answers(count):
     # Each answer is one word of its own and the labels alternate, so the
-    # tree is a chain of about one test per answer.
+    # tree is a chain of one test per two training answers.
     rows = "".join(
-        f"q1,w{i:04d}x,{'correct' if i % 2 else 'incorrect'}\n" for i in range(2400)
+        f"q1,w{i:04d}x,{'correct' if i % 2 else 'incorrect'}\n" for i in range(count)
     )
-    answers = write(tmp_path / "answers.csv", "question_id,answer,label\n" + rows)
+    return "question_id,answer,label\n" + rows
+
+
+@pytest.mark.parametrize("command", ["train"])
+def test_a_tree_too_deep_to_grow_is_a_one_line_error(tmp_path, capsys, command):
+    answers = write(tmp_path / "answers.csv", _chain_answers(2400))
     out = tmp_path / "out"
     assert main([command, "--answers", answers, "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line == "question 'q1': tree nested too deep"
     assert not out.exists()
+
+
+def test_evaluate_grows_trees_too_deep_to_write(tmp_path, capsys):
+    # Each fold trains on 2,200 answers, so its tree is a chain 1,100 tests
+    # deep: deeper than train can write, and than a recursive grower can grow.
+    answers = write(tmp_path / "answers.csv", _chain_answers(4400))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--answers", answers, "--k", "2", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    (row,) = json.loads((out / "report.json").read_text())["rows"]
+    assert row["question_id"] == "q1"
+    assert (out / "report.csv").read_text().startswith("question_id,")
 
 
 def test_train_writes_no_tree_when_a_later_question_fails(tmp_path, capsys):
@@ -517,6 +533,29 @@ def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, cap
     assert main(["stats", "--fixture", bad, "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("CSV line 2: field larger than field limit")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("nan,1,1,1,1", "row 1: average_grade 'nan' is not a finite number"),
+        ("0.5,inf,1,1,1", "row 1: dt_accuracy 'inf' is not a finite number"),
+        ("0.5,-Infinity,1,1,1", "row 1: dt_accuracy '-Infinity' is not a finite number"),
+        ("abc,1,1,1,1", "row 1: average_grade 'abc' is not a number"),
+        ("0.5,1,1.5,1,1", "row 1: unique_all '1.5' is not an integer"),
+        ("0.5,1,1,1,x", "row 1: unique_incorrect 'x' is not an integer"),
+    ],
+    ids=["nan", "inf", "-inf", "abc", "float-count", "text-count"],
+)
+def test_stats_bad_fixture_number_is_a_one_line_error(tmp_path, capsys, cells, message):
+    header = ",".join(REPORT_CSV_HEADER)
+    # The bad cell is in the first row; the other rows are good.
+    rows = f"Q1,{cells}\nQ2,0.6,0.9,5,3,2\nQ3,0.7,0.8,6,4,2\n"
+    bad = write(tmp_path / "bad.csv", f"{header}\n{rows}")
+    out = tmp_path / "o.json"
+    assert main(["stats", "--fixture", bad, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -379,7 +380,7 @@ def _reference_grow(samples, path_words, config):
 
 def _reference_tree_text(data, config):
     root = _reference_grow(data.samples, frozenset(), config)
-    return serialize_tree(DecisionTree(data.question_id, root, config))
+    return serialize_tree(DecisionTree.from_root(data.question_id, root, config))
 
 
 def _root_has_gain_tie(samples):
@@ -476,6 +477,7 @@ def test_example_tree_training_data_grades_the_worked_examples_unchanged(example
 
 def test_select_best_rule_scores_a_grower_node_like_its_samples():
     rng = random.Random(20261019)
+    kept = dropped = 0
     for case in range(500):
         data, _ = _random_case(rng, case)
         root = _index(data.samples)
@@ -486,9 +488,18 @@ def test_select_best_rule_scores_a_grower_node_like_its_samples():
         current = entropy(correct, len(subset) - correct)
         candidates = frozenset(POOL + ["twin", "absent"])
         min_gain = rng.choice([0.0, 0.05, -1.0])
-        node = _Node(mask, root.word_masks, root.correct)
+        node = _Node(mask, root.word_masks, root.correct, [])
         want = select_best_rule(subset, candidates, current, min_gain)
         assert select_best_rule(node, sorted(candidates), current, min_gain) == want
+        # The node keeps, in order, exactly the candidates that split it.
+        live = [
+            w for w in sorted(candidates)
+            if 0 < sum(w in s.features for s in subset) < len(subset)
+        ]
+        assert node.live == live
+        kept += len(live)
+        dropped += len(candidates) - len(live)
+    assert kept > 1000 and dropped > 1000
 
 
 def test_grower_calls_select_best_rule_once_per_impure_node(monkeypatch):
@@ -518,10 +529,11 @@ def test_grower_calls_select_best_rule_once_per_impure_node(monkeypatch):
 def _reference_cross_validate(data, config, plan):
     per_fold = []
     for fold in range(plan.k):
-        train = tuple(data.samples[i] for i in plan.train_indices(fold))
-        test = [data.samples[i] for i in plan.test_indices(fold)]
+        pairs = list(zip(data.samples, plan.assignments))
+        train = tuple(s for s, f in pairs if f != fold)
+        test = [s for s, f in pairs if f == fold]
         root = _reference_grow(train, frozenset(), config)
-        tree = DecisionTree(data.question_id, root, config)
+        tree = DecisionTree.from_root(data.question_id, root, config)
         hits = sum(1 for s in test if classify(tree, s.features).label is s.label)
         per_fold.append((hits, len(test)))
     return tuple(per_fold)
@@ -535,6 +547,13 @@ def test_cross_validate_matches_a_cv_on_the_reference_grower():
         plan = make_stratified_folds([s.label for s in data.samples], k, seed=case)
         want = _reference_cross_validate(data, config, plan)
         assert cross_validate(data, config, plan).per_fold == want
+
+
+def test_cached_entropy_equals_the_uncached_function_bit_for_bit():
+    for total in range(1, 41):
+        for correct in range(total + 1):
+            want = entropy.__wrapped__(correct, total - correct)
+            assert entropy(correct, total - correct).hex() == want.hex()
 
 
 def test_gain_helper_equals_the_split_record_gain_bit_for_bit():
@@ -613,15 +632,15 @@ def test_classify_never_tests_the_same_word_twice(example_tree):
 
 
 def test_vocabulary_is_kept_out_of_equality_and_hashing(example_tree_path):
-    # The vocabulary lives in the compiled form, which classify builds once.
+    # The vocabulary is built once, when classify first needs it.
     text = example_tree_path.read_text(encoding="utf-8")
     used, fresh = deserialize_tree(text), deserialize_tree(text)
     first = classify(used, frozenset({"papillary", "muscles"}))
     assert used.vocabulary() is used.vocabulary()
-    assert "_flat" in vars(used) and "_flat" not in vars(fresh)
+    assert "_vocabulary" in vars(used) and "_vocabulary" not in vars(fresh)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
-    # Reusing the compiled form and its shared trace steps changes no result.
+    # Reusing the vocabulary and the leaf results changes no result.
     assert classify(used, frozenset({"papillary", "muscles"})) == first
     assert classify(fresh, frozenset({"papillary", "muscles"})) == first
 
@@ -707,7 +726,7 @@ def _chain_tree(depth):
             label=C, count=i % 7 + 1, size=7, word=f"w{i}",
             true_child=deeper, false_child=other,
         )
-    return DecisionTree(question_id="chain", root=node)
+    return DecisionTree.from_root("chain", node)
 
 
 def _depth(root):
@@ -764,6 +783,19 @@ def test_classify_walks_a_depth_3000_chain():
     rng = random.Random(5)
     for features in _feature_sets(rng, _reference_vocabulary(tree.root), 20):
         assert classify(tree, features) == _reference_classify(tree, features)
+
+
+def test_a_depth_5000_chain_compares_hashes_and_classifies():
+    first, second = _chain_tree(5000), _chain_tree(5000)
+    assert first == second and hash(first) == hash(second)
+    assert DecisionTree.from_root("chain", first.root) == first
+    flipped = second.labels[:-1] + (I if second.labels[-1] is C else C,)
+    assert first != dataclasses.replace(second, labels=flipped)
+    every_even = frozenset(f"w{i}" for i in range(0, 5000, 2))
+    result = classify(first, every_even)
+    assert (result.label, result.certainty) == (I, 2 / 3)
+    assert len(result.trace) == 4999
+    assert result == _reference_classify(second, every_even)
 
 
 def test_classify_reuses_one_result_per_leaf(example_tree_path):
@@ -882,6 +914,31 @@ def test_deserialize_rejects_one_sided_children():
     )
     with pytest.raises(TreeFormatError, match="both children"):
         deserialize_tree(bad)
+
+
+LEAF = {"label": "incorrect", "count": 1, "size": 2}
+
+
+@pytest.mark.parametrize(
+    "node, message",
+    [
+        ("leaf", "node must be an object"),
+        ({"count": 1, "size": 2}, "missing label"),
+        ({**LEAF, "label": "meh"}, "unknown label 'meh'"),
+        ({**LEAF, "count": "1"}, "count and size must be integers"),
+        ({**LEAF, "count": 3}, "bad node counts 3/2"),
+        ({**LEAF, "size": 0, "count": 0}, "bad node counts 0/0"),
+        ({**LEAF, "true": LEAF}, "leaf node must not have children"),
+        ({**LEAF, "word": 7, "true": LEAF, "false": LEAF}, "word must be a string"),
+        ({**LEAF, "word": "w", "true": LEAF}, "internal node needs both children"),
+    ],
+)
+def test_deserialize_names_the_path_of_a_bad_node(example_tree_path, node, message):
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    document["root"]["true"]["false"] = node
+    with pytest.raises(TreeFormatError) as raised:
+        deserialize_tree(json.dumps(document))
+    assert str(raised.value) == f"root.true.false: {message}"
 
 
 def test_deserialize_rejects_garbage():

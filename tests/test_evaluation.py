@@ -42,7 +42,7 @@ def test_make_folds_even_split():
     plan = make_folds(100, k=10, seed=0)
     sizes = Counter(plan.assignments)
     assert all(sizes[f] == 10 for f in range(10))
-    assert sorted(plan.test_indices(3) + plan.train_indices(3)) == list(range(100))
+    assert sorted(set(plan.assignments)) == list(range(10))
 
 
 def test_make_folds_uneven_split_stays_within_one():
@@ -67,7 +67,7 @@ def test_stratified_folds_preserve_class_proportions():
     labels = [C] * 60 + [I] * 40
     plan = make_stratified_folds(labels, k=10, seed=0)
     for fold in range(10):
-        test = plan.test_indices(fold)
+        test = [i for i, f in enumerate(plan.assignments) if f == fold]
         assert len(test) == 10
         assert sum(1 for i in test if labels[i] is C) == 6
 
@@ -82,7 +82,7 @@ def test_stratified_folds_uneven_classes_stay_within_one():
 @given(st.integers(10, 120), st.integers(2, 10), st.integers(0, 5))
 def test_fold_sizes_never_differ_by_more_than_one(n, k, seed):
     plan = make_folds(n, k=k, seed=seed)
-    sizes = [len(plan.test_indices(f)) for f in range(k)]
+    sizes = [plan.assignments.count(f) for f in range(k)]
     assert sum(sizes) == n
     assert max(sizes) - min(sizes) <= 1
 
