@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import sys
@@ -15,6 +14,7 @@ import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import corpus, dtree, evaluation, textprep
 
@@ -61,11 +61,21 @@ def _load_records(path_str: str) -> list[corpus.AnswerRecord]:
     return corpus.parse_answer_file(_read_text(path), _file_format(path))
 
 
+class UsageError(Exception):
+    """An option or environment setting the command cannot use (exit 2)."""
+
+
 def _trained_at() -> str:
     # SOURCE_DATE_EPOCH makes training reproducible byte for byte.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    stamp = int(epoch) if epoch else int(time.time())
-    return datetime.fromtimestamp(stamp, timezone.utc).isoformat()
+    try:
+        stamp = int(epoch) if epoch else int(time.time())
+        return datetime.fromtimestamp(stamp, timezone.utc).isoformat()
+    except (ValueError, OverflowError, OSError):
+        raise UsageError(
+            "SOURCE_DATE_EPOCH must be a whole number of seconds since "
+            f"1970-01-01 UTC, within years 1-9999; got {epoch!r}"
+        ) from None
 
 
 def _build_datasets(
@@ -94,10 +104,10 @@ def _build_datasets(
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    trained_at = _trained_at()
     prep = _load_prep(args.stopwords)
     datasets = _build_datasets(_load_records(args.answers), prep)
     config = dtree.TrainConfig(min_gain=args.min_gain)
-    trained_at = _trained_at()
     out_dir = Path(args.out)
     # Each id names a file in --out; check them all before writing any.
     for question_id in datasets:
@@ -156,35 +166,55 @@ def cmd_grade(args: argparse.Namespace) -> int:
     trees = _load_trees(args.trees)
     path = Path(args.answers)
     pairs = corpus.parse_ungraded_file(_read_text(path), _file_format(path))
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(
         ["question_id", "answer", "label", "certainty", "flagged", "critical_word"]
     )
-    formatted: dict[int, tuple[str, str, str, str]] = {}
+    # A row's line is its (question, answer) pair written as CSV, then a
+    # tail ",label,certainty,flagged,critical_word\n"; CSV quotes each field
+    # on its own, so the joined line has the bytes of the six-field row.
+    # Results are shared per tree leaf and kept alive by their tree, so each
+    # distinct result's tail is written once, keyed by identity. Writing two
+    # fields per distinct pair instead of six pays for the pair map below on
+    # batches where every pair is new.
+    tails: dict[int, str] = {}
+    writer.writerow(("", "incorrect", "1.0000", "false", ""))
+    blank_tail = lines.pop()
+    # The line depends only on the pair, so each distinct pair is graded
+    # once and its line reused: question -> answer -> line.
+    graded: dict[str, dict[str, str]] = {}
     for question_id, answer in pairs:
-        tree = trees.get(question_id)
-        if tree is None:
-            print(f"no trained tree for question {question_id!r}", file=sys.stderr)
-            return 1
-        if not answer.strip():
-            # A blank exam answer earns zero; blanks never reach the trees.
-            writer.writerow([question_id, answer, "incorrect", "1.0000", "false", ""])
-            continue
-        result = dtree.classify(tree, textprep.preprocess(answer, prep))
-        # Results are shared per tree leaf and kept alive by their tree, so
-        # each distinct one is formatted once, keyed by identity.
-        fields = formatted.get(id(result))
-        if fields is None:
-            flagged = result.certainty < args.threshold or result.out_of_vocabulary
-            fields = formatted[id(result)] = (
-                result.label.value,
-                f"{result.certainty:.4f}",
-                "true" if flagged else "false",
-                result.critical_word or "",
-            )
-        writer.writerow((question_id, answer, *fields))
-    _atomic_write(Path(args.out), out.getvalue())
+        seen = graded.get(question_id)
+        if seen is None:
+            if question_id not in trees:
+                print(f"no trained tree for question {question_id!r}", file=sys.stderr)
+                return 1
+            seen = graded[question_id] = {}
+        line = seen.get(answer)
+        if line is None:
+            if not answer.strip():
+                # A blank exam answer earns zero; blanks never reach the trees.
+                tail = blank_tail
+            else:
+                words = textprep.preprocess(answer, prep)
+                result = dtree.classify(trees[question_id], words)
+                tail = tails.get(id(result))
+                if tail is None:
+                    certainty = result.certainty
+                    flagged = certainty < args.threshold or result.out_of_vocabulary
+                    writer.writerow((
+                        "",
+                        result.label.value,
+                        f"{certainty:.4f}",
+                        "true" if flagged else "false",
+                        result.critical_word or "",
+                    ))
+                    tail = tails[id(result)] = lines.pop()
+            writer.writerow((question_id, answer))
+            line = seen[answer] = lines.pop()[:-1] + tail
+        lines.append(line)
+    _atomic_write(Path(args.out), "".join(lines))
     return 0
 
 
@@ -314,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except (
         corpus.CorpusError,
         dtree.TreeFormatError,

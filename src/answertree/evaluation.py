@@ -97,7 +97,11 @@ def cross_validate(
             f"dataset has {len(samples)}"
         )
     folds: list[list] = [[] for _ in range(fold_plan.k)]
-    for sample, fold in zip(samples, fold_plan.assignments):
+    for index, (sample, fold) in enumerate(zip(samples, fold_plan.assignments)):
+        if not 0 <= fold < fold_plan.k:
+            raise FoldError(
+                f"sample {index} is assigned fold {fold}, outside 0..{fold_plan.k - 1}"
+            )
         folds[fold].append(sample)
     per_fold = []
     for fold, test in enumerate(folds):

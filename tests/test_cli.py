@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answertree import dtree
 from answertree.cli import main
 from answertree.corpus import CSV_HEADER, UNGRADED_CSV_HEADER
 from answertree.dtree import classify, deserialize_tree
@@ -84,6 +85,21 @@ def test_train_rejects_unsafe_question_ids(tmp_path, capsys, question_id):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["answers.json", "work"]
 
 
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999", "1e9", "-99999999999"])
+def test_train_bad_source_date_epoch_is_a_one_line_usage_error(
+    tmp_path, capsys, monkeypatch, epoch
+):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    answers = write(tmp_path / "answers.csv", GRADED)
+    out = tmp_path / "trees"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("SOURCE_DATE_EPOCH must be ") and repr(epoch) in line
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_train_conflicting_labels_fail_with_exit_1(tmp_path, capsys):
     answers = write(
         tmp_path / "answers.csv",
@@ -138,22 +154,24 @@ GRADE_BATCH = [
 ]
 
 
-@pytest.mark.parametrize("threshold", ["0", "0.7", "1"])
-def test_grade_output_equals_rows_formatted_from_classify(
-    tmp_path, reproducible_clock, example_tree_path, threshold
-):
+def _trees_with_example(tmp_path, example_tree_path):
+    """Trees for q1 and q2 trained from GRADED, plus the example tree Q52."""
     trees = tmp_path / "trees"
     answers = write(tmp_path / "answers.csv", GRADED)
     assert main(["train", "--answers", answers, "--out", str(trees)]) == 0
     shutil.copy(example_tree_path, trees / "Q52.tree.json")
-    batch = io.StringIO()
-    csv.writer(batch, lineterminator="\n").writerows([UNGRADED_CSV_HEADER, *GRADE_BATCH])
-    ungraded = write(tmp_path / "new.csv", batch.getvalue())
-    out = tmp_path / "graded.csv"
-    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
-    assert main(argv + ["--threshold", threshold]) == 0
+    return trees
 
-    # Fresh trees, and every row formatted from its own classify result.
+
+def _batch_file(path, rows):
+    batch = io.StringIO()
+    csv.writer(batch, lineterminator="\n").writerows([UNGRADED_CSV_HEADER, *rows])
+    return write(path, batch.getvalue())
+
+
+def _rows_formatted_from_classify(trees, rows, threshold):
+    """The graded CSV built from fresh trees, formatting every row from its
+    own classify result."""
     loaded = {
         path.name.split(".")[0]: deserialize_tree(path.read_text(encoding="utf-8"))
         for path in trees.glob("*.tree.json")
@@ -163,7 +181,7 @@ def test_grade_output_equals_rows_formatted_from_classify(
     writer.writerow(
         ["question_id", "answer", "label", "certainty", "flagged", "critical_word"]
     )
-    for question_id, answer in GRADE_BATCH:
+    for question_id, answer in rows:
         if not answer.strip():
             writer.writerow([question_id, answer, "incorrect", "1.0000", "false", ""])
             continue
@@ -173,7 +191,77 @@ def test_grade_output_equals_rows_formatted_from_classify(
             question_id, answer, result.label.value, f"{result.certainty:.4f}",
             str(flagged).lower(), result.critical_word or "",
         ])
-    assert out.read_bytes() == want.getvalue().encode("utf-8")
+    return want.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("threshold", ["0", "0.7", "1"])
+def test_grade_output_equals_rows_formatted_from_classify(
+    tmp_path, reproducible_clock, example_tree_path, threshold
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    ungraded = _batch_file(tmp_path / "new.csv", GRADE_BATCH)
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv + ["--threshold", threshold]) == 0
+    assert out.read_bytes() == _rows_formatted_from_classify(trees, GRADE_BATCH, threshold)
+
+
+# Most rows repeat an earlier pair. The same texts appear under questions
+# whose trees grade them differently ("alpha gamma" is correct for q1 and
+# incorrect for q2; "papillary muscles" is correct for Q52 and out of
+# vocabulary for q1). Also: blank and whitespace-only rows, out-of-vocabulary
+# answers, texts that differ only in case (distinct pairs with the same
+# words) and texts that CSV must quote.
+REUSE_BATCH = [
+    ("q1", "alpha gamma"), ("q2", "alpha gamma"), ("Q52", "papillary muscles"),
+    ("q1", "papillary muscles"), ("q1", "   "), ("q2", ""), ("Q52", "muscles"),
+    ("q1", "totally novel words"), ("q2", "alpha gamma"), ("Q52", "septum"),
+    ("q1", "alpha gamma"), ("q2", "totally novel words"), ("Q52", "\t "),
+    ("q1", ""), ("Q52", "papillary muscles"), ("q1", "   "), ("q2", "  "),
+    ("q1", "totally novel words"), ("Q52", "Papillary Muscles"), ("Q52", "muscles"),
+    ("q1", "papillary muscles"), ("q2", "totally novel words"), ("Q52", "septum"),
+    ("Q52", "\t "), ("q2", ""), ("q2", "beta"), ("q2", "beta"), ("q1", "Alpha gamma"),
+    ("q1", 'alpha, "gamma"'), ("q2", 'alpha, "gamma"'), ("q1", "alpha\ngamma"),
+    ("q1", 'alpha, "gamma"'), ("q1", "alpha\ngamma"), ("q2", 'alpha, "gamma"'),
+]
+
+
+@pytest.mark.parametrize("threshold", ["0", "0.7", "1"])
+def test_grade_reuses_each_pair_line_only_for_that_pair(
+    tmp_path, monkeypatch, reproducible_clock, example_tree_path, threshold
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    ungraded = _batch_file(tmp_path / "new.csv", REUSE_BATCH)
+    calls = []
+
+    def counting_classify(tree, words):
+        calls.append(tree.question_id)
+        return classify(tree, words)
+
+    monkeypatch.setattr(dtree, "classify", counting_classify)
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv + ["--threshold", threshold]) == 0
+    assert out.read_bytes() == _rows_formatted_from_classify(trees, REUSE_BATCH, threshold)
+    # One classify call per distinct non-blank (question, answer) pair.
+    pairs = {(q, a) for q, a in REUSE_BATCH if a.strip()}
+    assert len(calls) == len(pairs) < len(REUSE_BATCH)
+    assert sorted(calls) == sorted(q for q, _ in pairs)
+
+
+def test_grade_unknown_question_after_repeated_rows_is_exit_1(
+    tmp_path, capsys, reproducible_clock, example_tree_path
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    rows = REUSE_BATCH + [("q9", "alpha gamma")] + REUSE_BATCH
+    ungraded = _batch_file(tmp_path / "new.csv", rows)
+    out_dir = tmp_path / "graded"
+    out_dir.mkdir()
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded]
+    assert main(argv + ["--out", str(out_dir / "graded.csv")]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "no trained tree for question 'q9'"
+    assert list(out_dir.iterdir()) == []
 
 
 def test_grade_missing_tree_is_exit_1(tmp_path, capsys):

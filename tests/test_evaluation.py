@@ -12,6 +12,7 @@ from answertree.dtree import TrainConfig
 from answertree.evaluation import (
     Baseline,
     FoldError,
+    FoldPlan,
     QuestionRow,
     build_report,
     cross_validate,
@@ -128,6 +129,15 @@ def test_cross_validate_rejects_mismatched_plan():
     plan = make_folds(10, k=5)
     with pytest.raises(FoldError, match="fold plan covers 10"):
         cross_validate(data, TrainConfig(), plan)
+
+
+@pytest.mark.parametrize("fold", [2, -1])
+def test_cross_validate_rejects_a_fold_outside_the_plan(fold):
+    data = separable_dataset(3, 3)
+    plan = FoldPlan(2, 0, (0, 1, 0, 1, 0, fold))
+    with pytest.raises(FoldError) as raised:
+        cross_validate(data, TrainConfig(), plan)
+    assert str(raised.value) == f"sample 5 is assigned fold {fold}, outside 0..1"
 
 
 # --- null baselines ----------------------------------------------------------
