@@ -218,11 +218,106 @@ def cmd_grade(args: argparse.Namespace) -> int:
     return 0
 
 
+Job = tuple[corpus.QuestionDataset, evaluation.FoldPlan]
+
+
+def _worker_count(jobs: int) -> int:
+    """The CPUs this process may use, at most one per job.
+
+    One where there is no affinity mask or no fork, and in a process with
+    other threads: a forked child holds only the thread that forked it, so
+    a lock another thread held stays locked in the child.
+    """
+    threading = sys.modules.get("threading")
+    if (
+        not hasattr(os, "sched_getaffinity")
+        or not hasattr(os, "fork")
+        or (threading is not None and threading.active_count() > 1)
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), jobs)
+
+
+def _run_share(
+    share: list[Job], config: dtree.TrainConfig, parent: int | None = None
+) -> list[evaluation.QuestionAccuracy]:
+    results = []
+    for dataset, plan in share:
+        if parent is not None and os.getppid() != parent:
+            os._exit(1)  # the parent is gone, so no one will read the results
+        results.append(evaluation.cross_validate(dataset, config, plan))
+    return results
+
+
+def _cross_validate_all(
+    jobs: list[Job], config: dtree.TrainConfig
+) -> list[evaluation.QuestionAccuracy]:
+    """Cross-validate every job, dealt round-robin to one worker per CPU.
+
+    The parent runs the first share itself; each other share runs in a
+    forked child, which pickles its results (or its exception) into a pipe.
+    Results come back in job order, so the output does not depend on the
+    worker count. With one worker nothing is forked.
+    """
+    import pickle
+    import signal
+
+    workers = _worker_count(len(jobs))
+    shares = [jobs[worker::workers] for worker in range(workers)]
+    results: list = [None] * len(jobs)
+    parent = os.getpid()
+    children = []  # (pid, read end of its pipe) per unreaped child, in worker order
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: it must never return into the caller
+                status = 1
+                try:
+                    os.close(read_end)
+                    for _, pipe in children:
+                        pipe.close()
+                    try:
+                        payload = (True, _run_share(share, config, parent))
+                    except Exception as exc:
+                        payload = (False, exc)
+                    with open(write_end, "wb") as pipe:
+                        pickle.dump(payload, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        results[0::workers] = _run_share(shares[0], config)
+        for worker in range(1, workers):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop(0)
+            if code != 0:
+                ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise ChildProcessError(
+                    f"evaluate worker {worker} ended with {ended} "
+                    "before sending its results"
+                )
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results[worker::workers] = value
+    finally:
+        for pid, pipe in children:  # left running by an error
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return results
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     prep = _load_prep(args.stopwords)
     datasets = _build_datasets(_load_records(args.answers), prep)
     config = dtree.TrainConfig(min_gain=args.min_gain)
-    rows = []
+    jobs: list[Job] = []
     for question_id, dataset in datasets.items():
         if len(dataset) < args.k:
             print(
@@ -234,11 +329,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         plan = evaluation.make_stratified_folds(
             [s.label for s in dataset.samples], args.k, args.seed
         )
-        accuracy = evaluation.cross_validate(dataset, config, plan)
-        rows.append(evaluation.make_row(accuracy, textprep.unique_word_counts(dataset)))
-    if not rows:
+        jobs.append((dataset, plan))
+    if not jobs:
         print("no question had enough samples to evaluate", file=sys.stderr)
         return 1
+    rows = [
+        evaluation.make_row(accuracy, textprep.unique_word_counts(dataset))
+        for accuracy, (dataset, _) in zip(_cross_validate_all(jobs, config), jobs)
+    ]
     report = evaluation.build_report(rows)
     out_dir = Path(args.out)
     _atomic_write(out_dir / "report.csv", evaluation.report_to_csv(report))
@@ -341,6 +439,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if not 0.0 <= getattr(args, "min_gain", 0.0) < math.inf:
         print("--min-gain must be a finite number >= 0", file=sys.stderr)
+        return 2
+    if getattr(args, "k", 2) < 2:
+        print("--k must be at least 2", file=sys.stderr)
         return 2
     try:
         return args.func(args)

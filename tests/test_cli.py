@@ -1,20 +1,28 @@
 import csv
 import io
 import json
+import os
+import random
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from answertree import dtree
+import answertree
+from answertree import dtree, evaluation
 from answertree.cli import main
 from answertree.corpus import CSV_HEADER, UNGRADED_CSV_HEADER
 from answertree.dtree import classify, deserialize_tree
 from answertree.evaluation import REPORT_CSV_HEADER
 from answertree.textprep import preprocess
+
+SRC = str(Path(answertree.__file__).resolve().parent.parent)
 
 GRADED = """question_id,answer,label
 q1,alpha one,correct
@@ -595,6 +603,143 @@ def test_evaluate_runs_are_byte_identical(tmp_path):
     assert main(["evaluate", "--answers", answers, "--out", str(second)]) == 0
     assert (first / "report.csv").read_bytes() == (second / "report.csv").read_bytes()
     assert (first / "report.json").read_bytes() == (second / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-3"])
+@pytest.mark.parametrize("exists", [True, False])
+def test_evaluate_k_below_2_is_a_usage_error_before_any_read(
+    tmp_path, capsys, k, exists
+):
+    answers = tmp_path / "answers.csv"
+    if exists:
+        write(answers, EVALUATABLE)
+    out = tmp_path / "out"
+    argv = ["evaluate", "--answers", str(answers), "--out", str(out), "--k", k]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["--k must be at least 2"]
+    assert not out.exists()
+
+
+def _questions_of_unequal_cost(sizes=(20, 90, 30, 60, 12, 45)):
+    """Noisy questions of different sizes and vocabularies, so their trees
+    and cross-validation times differ."""
+    rng = random.Random(7)
+    rows = ["question_id,answer,label"]
+    for number, size in enumerate(sizes, 1):
+        vocabulary = [f"w{number}x{i}" for i in range(size // 3 + 4)]
+        for i in range(size):
+            words = rng.sample(vocabulary, rng.randint(1, 5))
+            correct = words[0] in vocabulary[::2] or rng.random() < 0.15
+            label = "correct" if correct else "incorrect"
+            rows.append(f"q{number},{' '.join(words)} n{i},{label}")
+    return "\n".join(rows) + "\n"
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+def test_evaluate_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
+    reports = set()
+    for cpus in (1, 2, 3, 50):  # 50 is more CPUs than questions
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 0
+        reports.add(((out / "report.csv").read_bytes(), (out / "report.json").read_bytes()))
+    assert len(reports) == 1
+    report_csv, _ = reports.pop()
+    assert len(report_csv.splitlines()) == 7  # the header and six questions
+
+
+def test_evaluate_forks_no_worker_beside_another_thread(tmp_path, monkeypatch):
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
+    _cpus(monkeypatch, 1)
+    assert main(["evaluate", "--answers", answers, "--out", str(tmp_path / "one")]) == 0
+    _cpus(monkeypatch, 2)
+
+    def fork():
+        raise AssertionError("forked beside another thread")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    waiter = threading.Thread(target=stop.wait)
+    waiter.start()
+    try:
+        assert main(["evaluate", "--answers", answers, "--out", str(tmp_path / "two")]) == 0
+    finally:
+        stop.set()
+        waiter.join()
+    for name in ("report.csv", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
+
+def _fail_in(monkeypatch, question_id, fail, in_child=True):
+    """Make cross_validate call ``fail()`` on one question, in a forked worker
+    or in the test's own process."""
+    test_pid = os.getpid()
+    cross_validate = evaluation.cross_validate
+
+    def failing(dataset, config, plan):
+        if dataset.question_id == question_id and (os.getpid() != test_pid) == in_child:
+            fail()
+        return cross_validate(dataset, config, plan)
+
+    monkeypatch.setattr(evaluation, "cross_validate", failing)
+
+
+def _assert_evaluate_fails_alone(tmp_path, capsys, message):
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
+    out = tmp_path / "out"
+    assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_evaluate_error_in_a_worker_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fail():
+        raise evaluation.FoldError("fold 3: empty training split")
+
+    _fail_in(monkeypatch, "q4", fail)  # q4 is the fourth job: worker 1's share
+    _assert_evaluate_fails_alone(tmp_path, capsys, "fold 3: empty training split")
+
+
+def test_evaluate_reaps_workers_when_its_own_share_fails(tmp_path, capsys, monkeypatch):
+    _cpus(monkeypatch, 3)
+
+    def fail():
+        raise evaluation.FoldError("fold 0: empty training split")
+
+    _fail_in(monkeypatch, "q1", fail, in_child=False)
+    _assert_evaluate_fails_alone(tmp_path, capsys, "fold 0: empty training split")
+
+
+def test_evaluate_worker_that_dies_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+    _cpus(monkeypatch, 3)
+    _fail_in(monkeypatch, "q3", lambda: os._exit(3))  # the third job: worker 2
+    _assert_evaluate_fails_alone(
+        tmp_path, capsys, "evaluate worker 2 ended with exit status 3 before sending its results"
+    )
+
+
+def test_evaluate_worker_stops_once_its_parent_is_gone(tmp_path, capsys, monkeypatch):
+    _cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "getppid", lambda: -1)  # no live process has this pid
+    _assert_evaluate_fails_alone(
+        tmp_path, capsys, "evaluate worker 1 ended with exit status 1 before sending its results"
+    )
+
+
+def test_cli_import_leaves_pickle_out():
+    # grade and train start often; only evaluate's fan-out needs pickle.
+    code = "import sys, answertree.cli; print('pickle' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 def test_stats_from_fixture(tmp_path, capsys, reference_tables_path):
