@@ -12,7 +12,6 @@ import os
 import sys
 import tempfile
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -53,7 +52,11 @@ def _load_prep(stopwords_path: str | None) -> textprep.PreprocessConfig:
     if stopwords_path is None:
         return textprep.DEFAULT_CONFIG
     content = _read_text(Path(stopwords_path))
-    return textprep.PreprocessConfig(stopwords=textprep.parse_stopword_file(content))
+    try:
+        words = textprep.parse_stopword_file(content)
+    except ValueError as exc:
+        raise corpus.CorpusError(f"{stopwords_path}: {exc}") from None
+    return textprep.PreprocessConfig(stopwords=words)
 
 
 def _load_records(path_str: str) -> list[corpus.AnswerRecord]:
@@ -66,6 +69,8 @@ class UsageError(Exception):
 
 
 def _trained_at() -> str:
+    from datetime import datetime, timezone  # here: only train needs it
+
     # SOURCE_DATE_EPOCH makes training reproducible byte for byte.
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
@@ -147,9 +152,13 @@ def _load_tree(path: Path) -> dtree.DecisionTree:
 
 
 def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
+    directory = Path(trees_dir)
+    if not directory.is_dir():  # glob would quietly find no tree in it
+        problem = "is not a directory" if directory.exists() else "does not exist"
+        raise NotADirectoryError(f"--trees {trees_dir}: {problem}")
     trees: dict[str, dtree.DecisionTree] = {}
     sources: dict[str, Path] = {}
-    for path in sorted(Path(trees_dir).glob("*.tree.json")):
+    for path in sorted(directory.glob("*.tree.json")):
         tree = _load_tree(path)
         if tree.question_id in trees:
             raise dtree.TreeFormatError(

@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from .textprep import DEFAULT_CONFIG, PreprocessConfig, preprocess
 
@@ -64,8 +63,7 @@ class Label(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class AnswerRecord:
+class AnswerRecord(NamedTuple):
     """One student answer, verbatim, with its expert grade."""
 
     question_id: str
@@ -73,17 +71,33 @@ class AnswerRecord:
     label: Label
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(NamedTuple):
     features: frozenset[str]
     raw_text: str
     label: Label
 
 
-@dataclass(frozen=True)
 class QuestionDataset:
-    question_id: str
-    samples: tuple[Sample, ...]
+    """One question's unique samples; ``len`` counts them. Not a NamedTuple,
+    whose ``_make`` and ``_replace`` would take that ``len`` for its arity."""
+
+    def __init__(self, question_id: str, samples: tuple[Sample, ...]):
+        object.__setattr__(self, "question_id", question_id)
+        object.__setattr__(self, "samples", samples)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QuestionDataset):
+            return NotImplemented
+        return (self.question_id, self.samples) == (other.question_id, other.samples)
+
+    def __hash__(self) -> int:
+        return hash((self.question_id, self.samples))
+
+    def __repr__(self) -> str:
+        return f"QuestionDataset(question_id={self.question_id!r}, samples={self.samples!r})"
 
     @property
     def correct_count(self) -> int:
@@ -101,8 +115,7 @@ class QuestionDataset:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     question_id: str
     conflicts: tuple[str, ...]
     empty_after_preprocessing: tuple[str, ...]

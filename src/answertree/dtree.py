@@ -12,7 +12,6 @@ import json
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -27,14 +26,12 @@ class TreeFormatError(Exception):
     """Malformed serialized tree document."""
 
 
-@dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(NamedTuple):
     min_gain: float = 0.0
     leaf_tie_label: Label = Label.INCORRECT
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One node of a tree's nested view. Internal nodes carry a word test;
     leaves carry none.
 
@@ -58,15 +55,7 @@ class TreeNode:
         return self.word is None
 
 
-@dataclass(frozen=True)
-class DecisionTree:
-    """A tree as parallel arrays indexed by node, in preorder: the root at 0,
-    each true subtree before its false one. ``words[i]`` is None for a leaf,
-    whose child indices are -1, and ``counts[i] / sizes[i]`` is the
-    probability of ``labels[i]``. Every field is flat, so ``==`` and
-    ``hash`` do not recurse however deep the tree is.
-    """
-
+class _TreeFields(NamedTuple):
     question_id: str
     words: tuple[str | None, ...]
     true_index: tuple[int, ...]
@@ -77,12 +66,22 @@ class DecisionTree:
     config: TrainConfig = TrainConfig()
     trained_at: str = ""
 
+
+class DecisionTree(_TreeFields):
+    """A tree as parallel arrays indexed by node, in preorder: the root at 0,
+    each true subtree before its false one. ``words[i]`` is None for a leaf,
+    whose child indices are -1, and ``counts[i] / sizes[i]`` is the
+    probability of ``labels[i]``. Every field is flat, so ``==`` and
+    ``hash`` do not recurse however deep the tree is. The fields are a
+    NamedTuple base; with no ``__slots__`` here, a tree has a dict for memos.
+    """
+
     def vocabulary(self) -> frozenset[str]:
         """All words tested anywhere in the tree."""
         return self._vocabulary
 
-    # Built on first use and kept in the instance dict: not a dataclass
-    # field, so it stays out of __eq__, __hash__ and __repr__.
+    # Built on first use and kept in the instance dict: not a tuple field,
+    # so it stays out of __eq__, __hash__ and __repr__.
     @cached_property
     def _vocabulary(self) -> frozenset[str]:
         return frozenset(w for w in self.words if w is not None)
@@ -140,8 +139,7 @@ def _tree(
     return DecisionTree(question_id, *map(tuple, zip(*rows)), config, trained_at)
 
 
-@dataclass(frozen=True)
-class SplitEvaluation:
+class SplitEvaluation(NamedTuple):
     word: str
     true_size: int
     false_size: int
@@ -151,16 +149,14 @@ class SplitEvaluation:
     gain: float
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     word: str
     branch: bool
     label: Label
     probability: float
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Result of grading one answer with a trained tree.
 
     ``trace`` lists the word tests that mattered: every test up to and
@@ -248,13 +244,8 @@ def _split_from_counts(
         true_correct, true_size, correct, total, current_entropy
     )
     return SplitEvaluation(
-        word=word,
-        true_size=true_size,
-        false_size=total - true_size,
-        true_entropy=true_entropy,
-        false_entropy=false_entropy,
-        split_entropy=split_entropy,
-        gain=current_entropy - split_entropy,
+        word, true_size, total - true_size,
+        true_entropy, false_entropy, split_entropy, current_entropy - split_entropy,
     )
 
 

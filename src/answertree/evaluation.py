@@ -14,9 +14,9 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset
 from .dtree import TrainConfig, build_tree, classify
@@ -37,8 +37,7 @@ class FoldError(Exception):
     """Cross-validation could not be set up or run for a question."""
 
 
-@dataclass(frozen=True)
-class FoldPlan:
+class FoldPlan(NamedTuple):
     k: int
     seed: int
     assignments: tuple[int, ...]
@@ -78,8 +77,7 @@ def _check_fold_args(n_samples: int, k: int) -> None:
         raise FoldError(f"cannot make {k} folds from {n_samples} samples")
 
 
-@dataclass(frozen=True)
-class QuestionAccuracy:
+class QuestionAccuracy(NamedTuple):
     question_id: str
     accuracy: float
     per_fold: tuple[tuple[int, int], ...]  # (correct classifications, test size)
@@ -148,8 +146,7 @@ def null_baseline(dataset: QuestionDataset, mode: Baseline) -> float:
 # --- Pearson correlation with exact t-distribution p-value ----------------
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     r: float
     p: float
     n: int
@@ -169,25 +166,20 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, max_iterations + 1):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + numerator / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # The even step, then the odd one; convergence is checked after both.
+        for numerator in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + numerator * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + numerator / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < eps:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -259,8 +251,7 @@ def pearson(xs: list[float], ys: list[float]) -> CorrelationResult:
 # --- Report assembly -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuestionRow:
+class QuestionRow(NamedTuple):
     question_id: str
     average_grade: float
     accuracy: float
@@ -269,8 +260,7 @@ class QuestionRow:
     unique_incorrect: int
 
 
-@dataclass(frozen=True)
-class ReportSummary:
+class ReportSummary(NamedTuple):
     question_count: int
     mean_accuracy: float
     band_mean_accuracy: float | None  # questions with grade in GRADE_BAND
@@ -278,8 +268,7 @@ class ReportSummary:
     questions_below_80: int
 
 
-@dataclass(frozen=True)
-class EvaluationReport:
+class EvaluationReport(NamedTuple):
     rows: tuple[QuestionRow, ...]
     summary: ReportSummary
     correlations: dict[str, CorrelationResult | None]
@@ -291,12 +280,8 @@ def make_row(accuracy: QuestionAccuracy, counts: UniqueWordCounts) -> QuestionRo
             f"question id mismatch: {accuracy.question_id!r} vs {counts.question_id!r}"
         )
     return QuestionRow(
-        question_id=accuracy.question_id,
-        average_grade=accuracy.average_grade,
-        accuracy=accuracy.accuracy,
-        unique_all=counts.all_words,
-        unique_correct=counts.correct_words,
-        unique_incorrect=counts.incorrect_words,
+        accuracy.question_id, accuracy.average_grade, accuracy.accuracy,
+        counts.all_words, counts.correct_words, counts.incorrect_words,
     )
 
 

@@ -9,8 +9,7 @@ signal being modelled.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .corpus import QuestionDataset
@@ -26,8 +25,7 @@ DEFAULT_STOPWORDS = frozenset(
 _WORD_LOWER = re.compile(r"[0-9a-z]+")
 
 
-@dataclass(frozen=True)
-class PreprocessConfig:
+class PreprocessConfig(NamedTuple):
     stopwords: frozenset[str] = DEFAULT_STOPWORDS
 
 
@@ -47,17 +45,21 @@ def preprocess(text: str, config: PreprocessConfig = DEFAULT_CONFIG) -> frozense
 
 
 def parse_stopword_file(content: str) -> frozenset[str]:
-    """Parse a stopword override file: one word per line, ``#`` comments allowed."""
+    """Parse a stopword override file: one word per line, ``#`` comments
+    allowed. Words are lower-cased, as answers are; a line that is then not
+    one word of ``a``-``z`` and digits could never match, so it raises
+    ValueError naming the line."""
     words = []
-    for line in content.splitlines():
+    for number, line in enumerate(content.splitlines(), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
-            words.append(line)
+            if not _WORD_LOWER.fullmatch(line.lower()):
+                raise ValueError(f"line {number}: {line!r} is not one word of a-z and 0-9")
+            words.append(line.lower())
     return frozenset(words)
 
 
-@dataclass(frozen=True)
-class UniqueWordCounts:
+class UniqueWordCounts(NamedTuple):
     """Unique-word tallies for one question's answers.
 
     ``correct_words`` and ``incorrect_words`` count words appearing in answers
@@ -84,8 +86,5 @@ def unique_word_counts(dataset: "QuestionDataset") -> UniqueWordCounts:
         else:
             incorrect |= sample.features
     return UniqueWordCounts(
-        question_id=dataset.question_id,
-        all_words=len(everything),
-        correct_words=len(correct),
-        incorrect_words=len(incorrect),
+        dataset.question_id, len(everything), len(correct), len(incorrect)
     )

@@ -284,6 +284,24 @@ def test_grade_missing_tree_is_exit_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "kind, problem", [("missing", "does not exist"), ("file", "is not a directory")]
+)
+def test_grade_trees_that_is_not_a_directory_is_exit_1(tmp_path, capsys, kind, problem):
+    trees = tmp_path / "trees"
+    if kind == "file":
+        write(trees, "not a directory\n")
+    empty = write(tmp_path / "empty.csv", "question_id,answer\n")
+    out = tmp_path / "graded.csv"
+    # The second batch does not exist: the trees are checked before it is read.
+    for batch in (empty, str(tmp_path / "unread.csv")):
+        assert main(
+            ["grade", "--trees", str(trees), "--answers", batch, "--out", str(out)]
+        ) == 1
+        assert capsys.readouterr().err == f"--trees {trees}: {problem}\n"
+        assert not out.exists()
+
+
 def _example_document(example_tree_path, **changes):
     document = json.loads(example_tree_path.read_text(encoding="utf-8"))
     config = changes.pop("config", {})
@@ -734,9 +752,12 @@ def test_evaluate_worker_stops_once_its_parent_is_gone(tmp_path, capsys, monkeyp
     )
 
 
-def test_cli_import_leaves_pickle_out():
-    # grade and train start often; only evaluate's fan-out needs pickle.
-    code = "import sys, answertree.cli; print('pickle' in sys.modules)"
+@pytest.mark.parametrize("module", ["pickle", "dataclasses", "inspect", "datetime"])
+def test_cli_import_leaves_pickle_out(module):
+    # Every command pays for what importing the CLI imports. Only evaluate's
+    # fan-out needs pickle and only train needs datetime; the records are
+    # NamedTuples, so nothing needs dataclasses or the inspect it imports.
+    code = f"import sys, answertree.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert (done.returncode, done.stdout) == (0, "False\n")
@@ -804,15 +825,34 @@ def test_explain_prints_the_trace(tmp_path, capsys, example_tree_path):
 
 def test_custom_stopword_file(tmp_path, capsys, example_tree_path):
     # With "muscles" declared a stopword the example answer loses its first
-    # feature and takes the FALSE branches instead.
-    stopwords = write(tmp_path / "stop.txt", "muscles\n")
+    # feature and takes the FALSE branches instead. An upper-case entry
+    # matches too: answers are lower-cased before the stopword check.
+    for entry in ("muscles", "MUSCLES"):
+        stopwords = write(tmp_path / "stop.txt", f"{entry}\n")
+        assert main(
+            [
+                "explain", "--tree", str(example_tree_path),
+                "--answer", "papillary muscles", "--stopwords", stopwords,
+            ]
+        ) == 0
+        assert "answer is incorrect" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("entry", ["don't", "x-ray", "\u00e9t\u00e9", "two words"])
+def test_stopword_that_is_not_one_word_is_exit_1(tmp_path, capsys, entry):
+    # Such an entry could never match a word of an answer.
+    answers = write(tmp_path / "answers.csv", GRADED)
+    stopwords = write(tmp_path / "stop.txt", f"# header\nwall\n  {entry}\n")
+    out = tmp_path / "trees"
     assert main(
-        [
-            "explain", "--tree", str(example_tree_path),
-            "--answer", "papillary muscles", "--stopwords", stopwords,
-        ]
-    ) == 0
-    assert "answer is incorrect" in capsys.readouterr().out
+        ["train", "--answers", answers, "--out", str(out), "--stopwords", stopwords]
+    ) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{stopwords}: line 3: {entry!r} is not one word of a-z and 0-9\n"
+    )
+    assert not out.exists()
 
 
 def test_missing_input_file_is_exit_1(tmp_path, capsys):

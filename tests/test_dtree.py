@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import random
@@ -790,7 +789,7 @@ def test_a_depth_5000_chain_compares_hashes_and_classifies():
     assert first == second and hash(first) == hash(second)
     assert DecisionTree.from_root("chain", first.root) == first
     flipped = second.labels[:-1] + (I if second.labels[-1] is C else C,)
-    assert first != dataclasses.replace(second, labels=flipped)
+    assert first != second._replace(labels=flipped)
     every_even = frozenset(f"w{i}" for i in range(0, 5000, 2))
     result = classify(first, every_even)
     assert (result.label, result.certainty) == (I, 2 / 3)

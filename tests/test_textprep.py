@@ -1,3 +1,4 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -56,6 +57,13 @@ def test_preprocess_pipeline():
 def test_parse_stopword_file():
     content = "# comment\nalpha\n\n  beta  \n# more\ngamma\n"
     assert parse_stopword_file(content) == {"alpha", "beta", "gamma"}
+    # Answers are lower-cased before the stopword check, so entries are too.
+    assert parse_stopword_file("WALL\n  Septum\n") == {"wall", "septum"}
+
+
+def test_parse_stopword_file_rejects_an_entry_that_is_not_one_word():
+    with pytest.raises(ValueError, match="^line 2: 'x-ray' is not one word"):
+        parse_stopword_file("# comment\nx-ray\n")
 
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
