@@ -261,23 +261,26 @@ def _run_share(
 def _cross_validate_all(
     jobs: list[Job], config: dtree.TrainConfig
 ) -> list[evaluation.QuestionAccuracy]:
-    """Cross-validate every job, dealt round-robin to one worker per CPU.
-
-    The parent runs the first share itself; each other share runs in a
-    forked child, which pickles its results (or its exception) into a pipe.
-    Results come back in job order, so the output does not depend on the
-    worker count. With one worker nothing is forked.
-    """
+    """Cross-validate every job on one worker per CPU, dealing the costliest
+    first (samples times vocabulary) to the least-loaded worker, ties to the
+    lower job and worker index. The parent runs the first share itself; each
+    other share runs in a forked child, which pickles its results (or its
+    exception) into a pipe. Results come back in job order, so the output
+    does not depend on the worker count. With one worker nothing is forked."""
     import pickle
     import signal
 
     workers = _worker_count(len(jobs))
-    shares = [jobs[worker::workers] for worker in range(workers)]
-    results: list = [None] * len(jobs)
+    costs = [len(dataset) * len(dataset.index.words) for dataset, _ in jobs]
+    shares: list[list[int]] = [[] for _ in range(workers)]
+    for job in sorted(range(len(jobs)), key=lambda job: -costs[job]):
+        min(shares, key=lambda share: sum(costs[j] for j in share)).append(job)
+    dealt = [[jobs[j] for j in share] for share in shares]
+    results: dict[int, evaluation.QuestionAccuracy] = {}
     parent = os.getpid()
     children = []  # (pid, read end of its pipe) per unreaped child, in worker order
     try:
-        for share in shares[1:]:
+        for share in dealt[1:]:
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child: it must never return into the caller
@@ -297,7 +300,7 @@ def _cross_validate_all(
                     os._exit(status)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        results[0::workers] = _run_share(shares[0], config)
+        results.update(zip(shares[0], _run_share(dealt[0], config)))
         for worker in range(1, workers):
             pid, pipe = children[0]
             with pipe:
@@ -313,13 +316,13 @@ def _cross_validate_all(
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results[worker::workers] = value
+            results.update(zip(shares[worker], value))
     finally:
         for pid, pipe in children:  # left running by an error
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return results
+    return [results[job] for job in range(len(jobs))]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple, TypeVar
 
 from .textprep import DEFAULT_CONFIG, PreprocessConfig, preprocess
@@ -77,6 +78,16 @@ class Sample(NamedTuple):
     label: Label
 
 
+class SampleIndex(NamedTuple):
+    """Samples as bit masks, bit ``i`` for sample ``i``: all of them, each
+    word's and the correct ones; ``words`` lists the words, sorted."""
+
+    all: int
+    word_masks: dict[str, int]
+    correct: int
+    words: list[str]
+
+
 class QuestionDataset:
     """One question's unique samples; ``len`` counts them. Not a NamedTuple,
     whose ``_make`` and ``_replace`` would take that ``len`` for its arity."""
@@ -98,6 +109,21 @@ class QuestionDataset:
 
     def __repr__(self) -> str:
         return f"QuestionDataset(question_id={self.question_id!r}, samples={self.samples!r})"
+
+    # Built on first use and kept in the instance dict, out of __eq__,
+    # __hash__ and __repr__: every tree and count of the question shares it.
+    @cached_property
+    def index(self) -> SampleIndex:
+        word_masks: dict[str, int] = {}
+        correct = 0
+        for i, s in enumerate(self.samples):
+            bit = 1 << i
+            if s.label is Label.CORRECT:
+                correct |= bit
+            for word in s.features:
+                word_masks[word] = word_masks.get(word, 0) | bit
+        every = (1 << len(self.samples)) - 1
+        return SampleIndex(every, word_masks, correct, sorted(word_masks))
 
     @property
     def correct_count(self) -> int:

@@ -267,11 +267,8 @@ def evaluate_split(
 
 
 class _Node(NamedTuple):
-    """A set of training samples as a bit mask over an indexed dataset.
-
-    Bit ``i`` of ``mask`` stands for sample ``i``. ``word_masks`` maps each
-    word to the mask of the samples containing it and ``correct`` is the
-    mask of the correct samples; every node of one tree shares both.
+    """A set of training samples as a bit mask over a dataset's index, whose
+    ``word_masks`` and ``correct`` mask every node of one tree shares.
     ``select_best_rule`` appends to ``live`` each candidate that splits the
     node.
     """
@@ -280,19 +277,6 @@ class _Node(NamedTuple):
     word_masks: dict[str, int]
     correct: int
     live: list[str]
-
-
-def _index(samples: Sequence[Sample]) -> _Node:
-    """The node holding all of ``samples``."""
-    word_masks: dict[str, int] = {}
-    correct = 0
-    for i, s in enumerate(samples):
-        bit = 1 << i
-        if s.label is Label.CORRECT:
-            correct |= bit
-        for word in s.features:
-            word_masks[word] = word_masks.get(word, 0) | bit
-    return _Node((1 << len(samples)) - 1, word_masks, correct, [])
 
 
 def select_best_rule(
@@ -312,8 +296,11 @@ def select_best_rule(
     in order. Iterating in sorted order with a strict comparison makes ties
     resolve to the lexicographically smallest word.
     """
-    node = samples if isinstance(samples, _Node) else _index(samples)
-    words = candidate_words if node is samples else sorted(candidate_words)
+    if isinstance(samples, _Node):
+        node, words = samples, candidate_words
+    else:
+        every, word_masks, correct_mask, _ = QuestionDataset("", tuple(samples)).index
+        node, words = _Node(every, word_masks, correct_mask, []), sorted(candidate_words)
     mask, word_masks, correct_mask, live = node
     correct_mask &= mask
     total = mask.bit_count()
@@ -352,25 +339,27 @@ def _majority(correct: int, incorrect: int, config: TrainConfig) -> tuple[Label,
 
 
 def build_tree(
-    dataset: QuestionDataset, config: TrainConfig = TrainConfig(), trained_at: str = ""
+    dataset: QuestionDataset,
+    config: TrainConfig = TrainConfig(),
+    trained_at: str = "",
+    held_out: int = 0,
 ) -> DecisionTree:
     """Train a tree on a question dataset, splitting until purity or no gain.
 
-    Nodes are grown from an explicit stack straight into the tree's preorder
-    arrays. A node's candidates are the words that split its parent, which
-    ``select_best_rule`` left in the parent's ``live`` list, already sorted.
-    A word tested on the path is in all or none of the node's samples, so it
-    never splits again.
+    Samples whose bits are set in ``held_out``, such as a test fold, are left
+    out. Nodes are grown from an explicit stack straight into the tree's
+    preorder arrays. A node's candidates are the words that split its parent,
+    which ``select_best_rule`` left in the parent's ``live`` list, already
+    sorted. A word tested on the path is in all or none of the node's
+    samples, so it never splits again.
     """
-    if not dataset.samples:
+    every, word_masks, correct_mask, words = dataset.index
+    root = every & ~held_out
+    if not root:
         raise ValueError(f"question {dataset.question_id!r}: empty dataset")
-    root = _index(dataset.samples)
-    _, word_masks, correct_mask, _ = root
     rows: list[list] = []
     # (mask, candidates, index of the parent, whether it is the true child)
-    stack: list[tuple[int, list[str], int, bool]] = [
-        (root.mask, sorted(word_masks), -1, False)
-    ]
+    stack: list[tuple[int, list[str], int, bool]] = [(root, words, -1, False)]
     while stack:
         mask, candidates, parent, branch = stack.pop()
         size = mask.bit_count()
@@ -556,5 +545,7 @@ def deserialize_tree(text: str) -> DecisionTree:
         if word is not None:
             stack.append((obj["false"], f"{where}.false", index, False))
             stack.append((obj["true"], f"{where}.true", index, True))
-    question_id = str(document.get("question_id", ""))
+    question_id = document.get("question_id")
+    if not (isinstance(question_id, str) and question_id):
+        raise TreeFormatError("question_id must be a non-empty string")
     return _tree(question_id, rows, config, str(document.get("trained_at", "")))

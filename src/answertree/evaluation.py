@@ -15,7 +15,6 @@ import math
 import random
 import re
 from enum import Enum
-from itertools import chain
 from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset
@@ -95,24 +94,22 @@ def cross_validate(
             f"dataset has {len(samples)}"
         )
     folds: list[list] = [[] for _ in range(fold_plan.k)]
+    masks = [0] * fold_plan.k
     for index, (sample, fold) in enumerate(zip(samples, fold_plan.assignments)):
         if not 0 <= fold < fold_plan.k:
             raise FoldError(
                 f"sample {index} is assigned fold {fold}, outside 0..{fold_plan.k - 1}"
             )
         folds[fold].append(sample)
+        masks[fold] |= 1 << index
     per_fold = []
-    for fold, test in enumerate(folds):
-        # The other folds in turn; a tree does not depend on sample order.
-        train = tuple(chain.from_iterable(folds[:fold] + folds[fold + 1 :]))
-        if not train:
+    for fold, (test, mask) in enumerate(zip(folds, masks)):
+        if len(test) == len(samples):
             raise FoldError(f"fold {fold}: empty training split")
         if not test:
             per_fold.append((0, 0))
             continue
-        tree = build_tree(
-            QuestionDataset(question_id=dataset.question_id, samples=train), config
-        )
+        tree = build_tree(dataset, config, held_out=mask)
         hits = sum(
             1 for s in test if classify(tree, s.features).label is s.label
         )

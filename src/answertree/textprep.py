@@ -74,17 +74,13 @@ class UniqueWordCounts(NamedTuple):
 
 
 def unique_word_counts(dataset: "QuestionDataset") -> UniqueWordCounts:
-    from .corpus import Label
-
-    everything: set[str] = set()
-    correct: set[str] = set()
-    incorrect: set[str] = set()
-    for sample in dataset.samples:
-        everything |= sample.features
-        if sample.label is Label.CORRECT:
-            correct |= sample.features
-        else:
-            incorrect |= sample.features
+    """Counted from the dataset's index: a word is used by correct answers
+    when its mask shares a bit with the correct mask, and by incorrect ones
+    when it has a bit outside it."""
+    _, word_masks, correct, _ = dataset.index
     return UniqueWordCounts(
-        dataset.question_id, len(everything), len(correct), len(incorrect)
+        dataset.question_id,
+        len(word_masks),
+        sum(1 for mask in word_masks.values() if mask & correct),
+        sum(1 for mask in word_masks.values() if mask & ~correct),
     )

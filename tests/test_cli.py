@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import answertree
-from answertree import dtree, evaluation
+from answertree import corpus, dtree, evaluation
 from answertree.cli import main
 from answertree.corpus import CSV_HEADER, UNGRADED_CSV_HEADER
 from answertree.dtree import classify, deserialize_tree
@@ -337,6 +337,26 @@ def test_malformed_tree_is_a_one_line_error(
     assert main(["explain", "--tree", tree, "--answer", "papillary"]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert "Q52.tree.json" in line and message in line
+
+
+@pytest.mark.parametrize("question_id", [None, ["Q52"]])
+def test_grade_rejects_a_tree_whose_question_id_is_not_a_string(
+    tmp_path, capsys, example_tree_path, question_id
+):
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    document["question_id"] = question_id
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    write(trees / "Q52.tree.json", json.dumps(document))
+    # The rows name the question as str() would have read the bad id.
+    ungraded = _batch_file(tmp_path / "new.csv", [(str(question_id), "papillary")])
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"{trees / 'Q52.tree.json'}: question_id must be a non-empty string"
+    ]
+    assert not out.exists()
 
 
 def test_grade_rejects_two_trees_for_one_question(tmp_path, capsys, example_tree_path):
@@ -722,7 +742,8 @@ def test_evaluate_error_in_a_worker_is_one_line_exit_1(tmp_path, capsys, monkeyp
     def fail():
         raise evaluation.FoldError("fold 3: empty training split")
 
-    _fail_in(monkeypatch, "q4", fail)  # q4 is the fourth job: worker 1's share
+    # Worker 0, the parent, takes q2, the costliest job; q4, the next, goes to worker 1.
+    _fail_in(monkeypatch, "q4", fail)
     _assert_evaluate_fails_alone(tmp_path, capsys, "fold 3: empty training split")
 
 
@@ -732,13 +753,36 @@ def test_evaluate_reaps_workers_when_its_own_share_fails(tmp_path, capsys, monke
     def fail():
         raise evaluation.FoldError("fold 0: empty training split")
 
-    _fail_in(monkeypatch, "q1", fail, in_child=False)
+    _fail_in(monkeypatch, "q2", fail, in_child=False)  # the parent's only job
     _assert_evaluate_fails_alone(tmp_path, capsys, "fold 0: empty training split")
+
+
+def test_evaluate_parent_takes_the_costliest_question(tmp_path, capsys, monkeypatch):
+    # A job's cost is estimated as samples times vocabulary, counted here
+    # from each question's answers.
+    groups = corpus.group_records(
+        corpus.parse_answer_file(_questions_of_unequal_cost(), "csv")
+    )
+    costs = {}
+    for question_id, group in groups.items():
+        vocabulary = set().union(*(preprocess(r.raw_text) for r in group))
+        costs[question_id] = len(group) * len(vocabulary)
+    costliest = max(costs, key=costs.get)
+    assert costliest == "q2"  # the job the parent fails on above
+
+    def fail():
+        raise evaluation.FoldError("fold 1: empty training split")
+
+    _fail_in(monkeypatch, costliest, fail, in_child=False)
+    for cpus in range(1, 6):
+        _cpus(monkeypatch, cpus)
+        _assert_evaluate_fails_alone(tmp_path, capsys, "fold 1: empty training split")
 
 
 def test_evaluate_worker_that_dies_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
     _cpus(monkeypatch, 3)
-    _fail_in(monkeypatch, "q3", lambda: os._exit(3))  # the third job: worker 2
+    # Worker 2 takes q6, q3, q1 and q5, whose estimated cost equals q4's on worker 1.
+    _fail_in(monkeypatch, "q3", lambda: os._exit(3))
     _assert_evaluate_fails_alone(
         tmp_path, capsys, "evaluate worker 2 ended with exit status 3 before sending its results"
     )

@@ -23,7 +23,6 @@ from answertree.dtree import (
     TreeFormatError,
     TreeNode,
     _gain,
-    _index,
     _Node,
     _split_from_counts,
     build_tree,
@@ -479,9 +478,9 @@ def test_select_best_rule_scores_a_grower_node_like_its_samples():
     kept = dropped = 0
     for case in range(500):
         data, _ = _random_case(rng, case)
-        root = _index(data.samples)
+        root = data.index
         # A random subset of the samples, as a grower node and as a sequence.
-        mask = rng.getrandbits(len(data.samples)) or root.mask
+        mask = rng.getrandbits(len(data.samples)) or root.all
         subset = [s for i, s in enumerate(data.samples) if mask >> i & 1]
         correct = sum(1 for s in subset if s.label is C)
         current = entropy(correct, len(subset) - correct)
@@ -523,6 +522,25 @@ def test_grower_calls_select_best_rule_once_per_impure_node(monkeypatch):
             if not node.is_leaf:
                 stack += [node.true_child, node.false_child]
         assert len(calls) == impure
+
+
+def test_build_tree_with_samples_held_out_equals_a_tree_of_the_rest():
+    rng = random.Random(20261022)
+    grown = empty = 0
+    for case in range(400):
+        data, config = _random_case(rng, case)
+        held_out = rng.getrandbits(len(data.samples))
+        rest = tuple(s for i, s in enumerate(data.samples) if not held_out >> i & 1)
+        if not rest:
+            with pytest.raises(ValueError, match="empty dataset"):
+                build_tree(data, config, held_out=held_out)
+            empty += 1
+            continue
+        want = build_tree(QuestionDataset(data.question_id, rest), config)
+        got = build_tree(data, config, held_out=held_out)
+        assert got == want  # every array: words, children, labels, counts, sizes
+        grown += len(got.words) > 1
+    assert grown > 100 and empty > 0
 
 
 def _reference_cross_validate(data, config, plan):
@@ -949,3 +967,18 @@ def test_deserialize_rejects_garbage():
         deserialize_tree('{"root": {"label": "meh", "count": 1, "size": 1}}')
     with pytest.raises(TreeFormatError, match="count"):
         deserialize_tree('{"root": {"label": "correct", "count": 2, "size": 1}}')
+
+
+MISSING = object()
+
+
+@pytest.mark.parametrize("question_id", [MISSING, None, "", ["x"], 7])
+def test_deserialize_requires_a_non_empty_string_question_id(example_tree_path, question_id):
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    if question_id is MISSING:
+        del document["question_id"]
+    else:
+        document["question_id"] = question_id
+    with pytest.raises(TreeFormatError) as raised:
+        deserialize_tree(json.dumps(document))
+    assert str(raised.value) == "question_id must be a non-empty string"

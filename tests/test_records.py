@@ -38,6 +38,7 @@ def _records():
         textprep.DEFAULT_CONFIG,
         textprep.unique_word_counts(data),
         data.samples[0],
+        data.index,
         corpus.parse_answer_file("question_id,answer,label\nq,alpha,correct\n", "csv")[0],
         corpus.validate_dataset([AnswerRecord("q", "the", C)]),
         tree.config,
@@ -69,7 +70,7 @@ def _record_types():
 
 def test_every_record_type_is_covered():
     assert {type(record) for record in _records()} == _record_types()
-    assert len(_record_types()) == 17
+    assert len(_record_types()) == 18
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -105,6 +106,10 @@ def test_dataset_is_an_immutable_record_whose_len_counts_samples():
     assert copy == data and hash(copy) == hash(data)
     assert copy != QuestionDataset("q", data.samples[1:])
     assert repr(data).startswith("QuestionDataset(question_id='q', samples=(Sample(")
+    fresh = _dataset()
+    dtree.build_tree(data)  # fills the index memo
+    assert "index" in vars(data) and "index" not in vars(fresh)
+    assert data == fresh and hash(data) == hash(fresh) and repr(data) == repr(fresh)
     for field in ("question_id", "samples"):
         with pytest.raises(AttributeError):
             setattr(data, field, getattr(data, field))

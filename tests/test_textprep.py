@@ -123,3 +123,24 @@ def test_unique_word_count_bounds(samples):
     counts = unique_word_counts(dataset)
     assert max(counts.correct_words, counts.incorrect_words) <= counts.all_words
     assert counts.all_words <= counts.correct_words + counts.incorrect_words
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(["the", "of"]) | words, min_size=1, max_size=5),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_unique_word_counts_equal_the_set_union_counts(samples):
+    texts = {" ".join(tokens): correct for tokens, correct in samples}
+    dataset = _dataset(list(texts.items()))
+    everything, correct, incorrect = set(), set(), set()
+    for sample in dataset.samples:
+        everything |= sample.features
+        (correct if sample.label is Label.CORRECT else incorrect).update(sample.features)
+    counts = unique_word_counts(dataset)
+    assert counts == ("q", len(everything), len(correct), len(incorrect))
