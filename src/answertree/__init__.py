@@ -2,8 +2,8 @@
 
 Trains one word-presence decision tree per question from expert-graded
 answers, grades unseen answers with a label, certainty, and explanation
-trace, and evaluates itself with k-fold cross-validation, null baselines,
-and Pearson correlation statistics.
+trace, and evaluates itself with k-fold cross-validation and Pearson
+correlation statistics.
 """
 
 from .corpus import (
@@ -25,7 +25,6 @@ from .dtree import (
     DecisionTree,
     TrainConfig,
     TreeFormatError,
-    TreeNode,
     build_tree,
     classify,
     deserialize_tree,
@@ -36,16 +35,13 @@ from .dtree import (
     serialize_tree,
 )
 from .evaluation import (
-    Baseline,
     CorrelationResult,
     EvaluationReport,
     FoldPlan,
     QuestionAccuracy,
     build_report,
     cross_validate,
-    make_folds,
     make_stratified_folds,
-    null_baseline,
     pearson,
 )
 from .textprep import (
@@ -53,7 +49,6 @@ from .textprep import (
     PreprocessConfig,
     UniqueWordCounts,
     preprocess,
-    tokenize,
     unique_word_counts,
 )
 

@@ -10,7 +10,6 @@ import csv
 import math
 import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -21,6 +20,8 @@ DEFAULT_CERTAINTY_THRESHOLD = 0.70
 
 
 def _atomic_write(path: Path, content: str) -> None:
+    import tempfile  # here: explain writes no file
+
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:

@@ -181,9 +181,9 @@ def _read_answers(
 
     A CSV file has ``columns`` as its header; blank lines are skipped but
     count in row numbers. A JSON file is an array of objects holding every
-    column as a key; values are read with ``str``. ``build`` makes each row's
-    item from its fields and raises ValueError on a bad one. The first bad
-    row in file order raises AnswerFileError naming it.
+    column as a key, each value a string or a number read as its text.
+    ``build`` makes each row's item from its fields and raises ValueError on
+    a bad one. The first bad row in file order raises AnswerFileError naming it.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown answer file format {format!r}")
@@ -213,7 +213,7 @@ def _read_answers(
                 if not isinstance(row, dict):
                     raise ValueError("expected an object")
                 try:
-                    row = [str(row[c]) for c in columns]
+                    row = [_json_text(c, row[c]) for c in columns]
                 except KeyError:
                     missing = ", ".join(c for c in columns if c not in row)
                     raise ValueError(f"missing key(s) {missing}") from None
@@ -229,6 +229,13 @@ def _read_answers(
     except csv.Error as exc:
         raise AnswerFileError(f"CSV line {reader.line_num}: {exc}") from None
     return items
+
+
+def _json_text(column: str, value: object) -> str:
+    if isinstance(value, str) or type(value) in (int, float):  # bool is neither
+        return str(value)
+    kind = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
+    raise ValueError(f"{column} must be text or a number, not {kind}")
 
 
 def group_records(records: list[AnswerRecord]) -> dict[str, list[AnswerRecord]]:

@@ -31,30 +31,6 @@ class TrainConfig(NamedTuple):
     leaf_tie_label: Label = Label.INCORRECT
 
 
-class TreeNode(NamedTuple):
-    """One node of a tree's nested view. Internal nodes carry a word test;
-    leaves carry none.
-
-    ``count``/``size`` keep the label probability as an exact rational so
-    serialization round-trips bit-stably.
-    """
-
-    label: Label
-    count: int
-    size: int
-    word: str | None = None
-    true_child: "TreeNode | None" = None
-    false_child: "TreeNode | None" = None
-
-    @property
-    def probability(self) -> float:
-        return self.count / self.size
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.word is None
-
-
 class _TreeFields(NamedTuple):
     question_id: str
     words: tuple[str | None, ...]
@@ -91,35 +67,6 @@ class DecisionTree(_TreeFields):
     @cached_property
     def _results(self) -> dict[int, Classification]:
         return {}
-
-    @property
-    def root(self) -> TreeNode:
-        """The tree as nested nodes, built bottom-up: in preorder a node's
-        children come after it. A leaf's child index -1 reads the spare last
-        slot, which stays None."""
-        nodes: list[TreeNode | None] = [None] * (len(self.words) + 1)
-        for i in reversed(range(len(self.words))):
-            nodes[i] = TreeNode(
-                self.labels[i], self.counts[i], self.sizes[i], self.words[i],
-                nodes[self.true_index[i]], nodes[self.false_index[i]],
-            )
-        return nodes[0]
-
-    @classmethod
-    def from_root(
-        cls, question_id: str, root: TreeNode, config: TrainConfig = TrainConfig()
-    ) -> DecisionTree:
-        """Lay nested nodes out in preorder with one iterative walk."""
-        rows: list[list] = []
-        stack: list[tuple[TreeNode, int, bool]] = [(root, -1, False)]
-        while stack:
-            node, parent, branch = stack.pop()
-            row = [node.word, -1, -1, node.label, node.count, node.size]
-            index = _add(rows, parent, branch, row)
-            if node.word is not None:
-                stack.append((node.false_child, index, False))
-                stack.append((node.true_child, index, True))
-        return _tree(question_id, rows, config, "")
 
 
 def _add(rows: list[list], parent: int, branch: bool, row: list) -> int:
@@ -548,4 +495,7 @@ def deserialize_tree(text: str) -> DecisionTree:
     question_id = document.get("question_id")
     if not (isinstance(question_id, str) and question_id):
         raise TreeFormatError("question_id must be a non-empty string")
-    return _tree(question_id, rows, config, str(document.get("trained_at", "")))
+    trained_at = document.get("trained_at", "")
+    if not isinstance(trained_at, str):
+        raise TreeFormatError("trained_at must be a string")
+    return _tree(question_id, rows, config, trained_at)

@@ -1,4 +1,4 @@
-"""Cross-validation, baselines, correlation statistics, and report assembly.
+"""Cross-validation, correlation statistics, and report assembly.
 
 Statistics are implemented natively: the Pearson p-value comes from the
 exact two-tailed t-test, with the t CDF evaluated through the regularized
@@ -14,7 +14,6 @@ import json
 import math
 import random
 import re
-from enum import Enum
 from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset
@@ -42,20 +41,9 @@ class FoldPlan(NamedTuple):
     assignments: tuple[int, ...]
 
 
-def make_folds(n_samples: int, k: int = 10, seed: int = 0) -> FoldPlan:
-    """Deterministic k-fold assignment: seeded shuffle, then round-robin."""
-    _check_fold_args(n_samples, k)
-    order = list(range(n_samples))
-    random.Random(seed).shuffle(order)
-    assignments = [0] * n_samples
-    for position, index in enumerate(order):
-        assignments[index] = position % k
-    return FoldPlan(k=k, seed=seed, assignments=tuple(assignments))
-
-
 def make_stratified_folds(labels: list[Label], k: int = 10, seed: int = 0) -> FoldPlan:
-    """Like make_folds, but deals each label class round-robin so every fold
-    keeps roughly the dataset's correct/incorrect proportion."""
+    """Deterministic k-fold assignment: deals each label class, in a seeded
+    shuffle, round-robin, so every fold keeps roughly the dataset's class balance."""
     _check_fold_args(len(labels), k)
     rng = random.Random(seed)
     assignments = [0] * len(labels)
@@ -122,22 +110,6 @@ def cross_validate(
         per_fold=tuple(per_fold),
         average_grade=dataset.average_grade,
     )
-
-
-class Baseline(Enum):
-    ALL_CORRECT = "all-correct"
-    ALL_INCORRECT = "all-incorrect"
-    MAJORITY = "majority"
-
-
-def null_baseline(dataset: QuestionDataset, mode: Baseline) -> float:
-    """Accuracy of a classifier that labels every answer the same way."""
-    grade = dataset.average_grade
-    if mode is Baseline.ALL_CORRECT:
-        return grade
-    if mode is Baseline.ALL_INCORRECT:
-        return 1.0 - grade
-    return max(grade, 1.0 - grade)
 
 
 # --- Pearson correlation with exact t-distribution p-value ----------------

@@ -32,15 +32,9 @@ class PreprocessConfig(NamedTuple):
 DEFAULT_CONFIG = PreprocessConfig()
 
 
-def tokenize(text: str) -> list[str]:
-    """Lowercase text and split it into word tokens on runs of
-    non-alphanumeric characters."""
-    return _WORD_LOWER.findall(text.lower())
-
-
 def preprocess(text: str, config: PreprocessConfig = DEFAULT_CONFIG) -> frozenset[str]:
-    """Full pipeline: tokenize, collapse to a presence-only word set (in-answer
-    frequency is discarded) and remove stopwords."""
+    """Full pipeline: lowercase, split on non-alphanumeric runs, collapse to a
+    presence-only word set (in-answer frequency is discarded), drop stopwords."""
     return frozenset(_WORD_LOWER.findall(text.lower())) - config.stopwords
 
 

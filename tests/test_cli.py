@@ -108,6 +108,27 @@ def test_train_bad_source_date_epoch_is_a_one_line_usage_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "grade"])
+def test_a_json_value_that_is_not_text_is_exit_1(
+    tmp_path, capsys, example_tree_path, command
+):
+    # A null id is not the text "None", and names no tree file.
+    element = {"question_id": None, "answer": "papillary muscles", "label": "correct"}
+    answers = write(tmp_path / "answers.json", json.dumps([element]))
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--answers", answers, "--out", str(out)]
+    else:
+        trees = tmp_path / "trees"
+        trees.mkdir()
+        shutil.copy(example_tree_path, trees / "Q52.tree.json")
+        argv = ["grade", "--trees", str(trees), "--answers", answers, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "element 0: question_id must be text or a number, not null\n"
+    assert not out.exists()
+
+
 def test_train_conflicting_labels_fail_with_exit_1(tmp_path, capsys):
     answers = write(
         tmp_path / "answers.csv",
@@ -796,14 +817,20 @@ def test_evaluate_worker_stops_once_its_parent_is_gone(tmp_path, capsys, monkeyp
     )
 
 
-@pytest.mark.parametrize("module", ["pickle", "dataclasses", "inspect", "datetime"])
+@pytest.mark.parametrize(
+    "module", ["pickle", "dataclasses", "inspect", "datetime", "tempfile", "shutil"]
+)
 def test_cli_import_leaves_pickle_out(module):
     # Every command pays for what importing the CLI imports. Only evaluate's
-    # fan-out needs pickle and only train needs datetime; the records are
+    # fan-out needs pickle, only train needs datetime, and only commands that
+    # write a file need tempfile and the shutil it imports; the records are
     # NamedTuples, so nothing needs dataclasses or the inspect it imports.
+    # -S keeps site out, since a .pth file it runs may import any of these.
     code = f"import sys, answertree.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
     assert (done.returncode, done.stdout) == (0, "False\n")
 
 

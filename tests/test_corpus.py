@@ -65,12 +65,14 @@ def test_parse_json():
         [
             {"question_id": "q1", "answer": "mitral valve", "label": "Correct"},
             {"question_id": "q2", "answer": "apex", "label": 0},
+            {"question_id": 7, "answer": 1.5, "label": 1},  # numbers read as text
         ]
     )
     records = parse_answer_file(content, "json")
     assert records == [
         AnswerRecord("q1", "mitral valve", Label.CORRECT),
         AnswerRecord("q2", "apex", Label.INCORRECT),
+        AnswerRecord("7", "1.5", Label.CORRECT),
     ]
 
 
@@ -79,6 +81,25 @@ def test_parse_json_errors_name_the_element():
         parse_answer_file('[{"question_id":"q","answer":"x","label":"1"}, {}]', "json")
     with pytest.raises(AnswerFileError, match="invalid JSON"):
         parse_answer_file("{not json", "json")
+
+
+@pytest.mark.parametrize(
+    "value, kind", [(None, "null"), (True, "true"), (["papillary"], "an array"), ({}, "an object")]
+)
+@pytest.mark.parametrize(
+    "parse, column",
+    [(parse_answer_file, c) for c in ("question_id", "answer", "label")]
+    + [(parse_ungraded_file, c) for c in ("question_id", "answer")],
+)
+def test_json_value_that_is_not_text_or_a_number_names_its_element(
+    parse, column, value, kind
+):
+    # The ungraded reader reads no label, so the extra key is ignored there.
+    element = {"question_id": "q1", "answer": "x", "label": "correct"}
+    content = json.dumps([element, {**element, column: value}])
+    with pytest.raises(AnswerFileError) as raised:
+        parse(content, "json")
+    assert str(raised.value) == f"element 1: {column} must be text or a number, not {kind}"
 
 
 def test_parse_ungraded_file():

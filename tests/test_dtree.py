@@ -21,7 +21,6 @@ from answertree.dtree import (
     TraceStep,
     TrainConfig,
     TreeFormatError,
-    TreeNode,
     _gain,
     _Node,
     _split_from_counts,
@@ -46,6 +45,22 @@ def sample(words, label):
 def dataset(pairs, qid="q"):
     records = [AnswerRecord(qid, text, label) for text, label in pairs]
     return build_question_dataset(records, qid)
+
+
+def _root(tree):
+    """The tree's nested form: each node a dict shaped like a v1 file's node
+    (``word``, ``label``, ``count``, ``size``, ``true``, ``false``; a leaf has
+    no word). Built bottom-up from the preorder arrays, where a node's
+    children come after it, so no depth is too deep."""
+    nodes = [None] * len(tree.words)
+    for i in reversed(range(len(tree.words))):
+        node = {"label": tree.labels[i].value, "count": tree.counts[i], "size": tree.sizes[i]}
+        if tree.words[i] is not None:
+            node["word"] = tree.words[i]
+            node["true"] = nodes[tree.true_index[i]]
+            node["false"] = nodes[tree.false_index[i]]
+        nodes[i] = node
+    return nodes[0]
 
 
 # --- entropy ---------------------------------------------------------------
@@ -146,11 +161,11 @@ def test_select_best_rule_never_returns_a_vacuous_split():
 
 def test_build_tree_negative_min_gain_grows_no_empty_child():
     data = dataset([("the wall", C), ("wall", I), ("papillary", C)])
-    tree = build_tree(data, TrainConfig(min_gain=-1))
-    assert tree.root.word == "papillary"
-    assert tree.root.true_child.size == 1
-    assert tree.root.false_child.is_leaf
-    assert tree.root.false_child.size == 2
+    root = _root(build_tree(data, TrainConfig(min_gain=-1)))
+    assert root["word"] == "papillary"
+    assert root["true"]["size"] == 1
+    assert "word" not in root["false"]
+    assert root["false"]["size"] == 2
 
 
 # Exhaustive brute-force oracle: recompute every candidate's gain from first
@@ -216,19 +231,15 @@ def test_select_best_rule_matches_brute_force_oracle():
 
 
 def test_build_tree_pure_dataset_is_a_single_leaf():
-    tree = build_tree(dataset([("alpha", C), ("beta", C)]))
-    assert tree.root.is_leaf
-    assert tree.root.label is C
-    assert tree.root.probability == 1.0
+    root = _root(build_tree(dataset([("alpha", C), ("beta", C)])))
+    assert root == {"label": "correct", "count": 2, "size": 2}
 
 
 def test_build_tree_two_sample_split_prefers_lexicographic_word():
-    tree = build_tree(dataset([("alpha", C), ("beta", I)]))
-    assert tree.root.word == "alpha"
-    assert tree.root.true_child.label is C
-    assert tree.root.true_child.probability == 1.0
-    assert tree.root.false_child.label is I
-    assert tree.root.false_child.probability == 1.0
+    root = _root(build_tree(dataset([("alpha", C), ("beta", I)])))
+    assert root["word"] == "alpha"
+    assert root["true"] == {"label": "correct", "count": 1, "size": 1}
+    assert root["false"] == {"label": "incorrect", "count": 1, "size": 1}
 
 
 REFERENCE_CORPUS = [
@@ -257,12 +268,11 @@ def test_build_tree_reference_corpus_shape():
     # Correct answers are papillary-muscles variants plus "subvalvular
     # apparatus"; the trained tree should test muscles, then papillary on the
     # containing branch, and subvalvular then apparatus on the other.
-    tree = build_tree(dataset(REFERENCE_CORPUS))
-    root = tree.root
-    assert root.word == "muscles"
-    assert root.true_child.word == "papillary"
-    assert root.false_child.word == "subvalvular"
-    assert root.false_child.true_child.word == "apparatus"
+    root = _root(build_tree(dataset(REFERENCE_CORPUS)))
+    assert root["word"] == "muscles"
+    assert root["true"]["word"] == "papillary"
+    assert root["false"]["word"] == "subvalvular"
+    assert root["false"]["true"]["word"] == "apparatus"
 
 
 def test_build_tree_resubstitution_on_reference_corpus():
@@ -273,16 +283,15 @@ def test_build_tree_resubstitution_on_reference_corpus():
 
 def test_build_tree_tie_node_gets_configured_label():
     data = dataset([("alpha shared", C), ("beta shared", I)])
-    tree = build_tree(data, TrainConfig(leaf_tie_label=Label.CORRECT))
-    assert tree.root.label is Label.CORRECT
-    assert tree.root.probability == 0.5
-    tree = build_tree(data)
-    assert tree.root.label is Label.INCORRECT
+    root = _root(build_tree(data, TrainConfig(leaf_tie_label=Label.CORRECT)))
+    assert root["label"] == "correct"
+    assert root["count"] / root["size"] == 0.5
+    assert _root(build_tree(data))["label"] == "incorrect"
 
 
 def test_build_tree_min_gain_prunes():
     tree = build_tree(dataset(REFERENCE_CORPUS), TrainConfig(min_gain=2.0))
-    assert tree.root.is_leaf
+    assert "word" not in _root(tree)
 
 
 def test_build_tree_is_deterministic():
@@ -304,9 +313,9 @@ def _random_conflict_free_dataset(rng, pool):
 
 
 def _leaves_pure(node):
-    if node.is_leaf:
-        return node.probability == 1.0
-    return _leaves_pure(node.true_child) and _leaves_pure(node.false_child)
+    if "word" not in node:
+        return node["count"] == node["size"]
+    return _leaves_pure(node["true"]) and _leaves_pure(node["false"])
 
 
 def test_resubstitution_is_perfect_whenever_training_reaches_purity():
@@ -316,7 +325,7 @@ def test_resubstitution_is_perfect_whenever_training_reaches_purity():
     for _ in range(300):
         data = _random_conflict_free_dataset(rng, pool)
         tree = build_tree(data)
-        if _leaves_pure(tree.root):
+        if _leaves_pure(_root(tree)):
             pure_cases += 1
             assert all(
                 classify(tree, s.features).label is s.label for s in data.samples
@@ -334,14 +343,15 @@ def test_disjoint_class_vocabularies_always_reach_purity():
             pairs[f"bad{i} poor{rng.randint(0, 3)}"] = I
         data = dataset(list(pairs.items()))
         tree = build_tree(data)
-        assert _leaves_pure(tree.root)
+        assert _leaves_pure(_root(tree))
         assert all(classify(tree, s.features).label is s.label for s in data.samples)
 
 
 # --- split search pinned to the per-candidate grower ----------------------
 # The grower as it was before split search counted words in one pass: every
 # candidate is scored by evaluate_split, which partitions the samples itself,
-# and each node partitions into tuples. build_tree must match it byte for byte.
+# and each node partitions into tuples. It grows nested v1 nodes, which load
+# through deserialize_tree. build_tree must match it byte for byte.
 
 
 def _reference_grow(samples, path_words, config):
@@ -351,7 +361,7 @@ def _reference_grow(samples, path_words, config):
         label, count = (C, correct) if correct > incorrect else (I, incorrect)
     else:
         label, count = config.leaf_tie_label, correct
-    leaf = TreeNode(label=label, count=count, size=len(samples))
+    leaf = {"label": label.value, "count": count, "size": len(samples)}
     if correct == 0 or incorrect == 0:
         return leaf
     current = entropy(correct, incorrect)
@@ -366,19 +376,25 @@ def _reference_grow(samples, path_words, config):
     true_side = tuple(s for s in samples if best.word in s.features)
     false_side = tuple(s for s in samples if best.word not in s.features)
     deeper = path_words | {best.word}
-    return TreeNode(
-        label=label,
-        count=count,
-        size=len(samples),
-        word=best.word,
-        true_child=_reference_grow(true_side, deeper, config),
-        false_child=_reference_grow(false_side, deeper, config),
-    )
+    return {
+        "word": best.word,
+        **leaf,
+        "true": _reference_grow(true_side, deeper, config),
+        "false": _reference_grow(false_side, deeper, config),
+    }
+
+
+def _reference_tree(question_id, samples, config):
+    document = {
+        "question_id": question_id,
+        "config": {"min_gain": config.min_gain, "leaf_tie_label": config.leaf_tie_label.value},
+        "root": _reference_grow(samples, frozenset(), config),
+    }
+    return deserialize_tree(json.dumps(document))
 
 
 def _reference_tree_text(data, config):
-    root = _reference_grow(data.samples, frozenset(), config)
-    return serialize_tree(DecisionTree.from_root(data.question_id, root, config))
+    return serialize_tree(_reference_tree(data.question_id, data.samples, config))
 
 
 def _root_has_gain_tie(samples):
@@ -442,16 +458,17 @@ def _leaf_training_data(tree):
     true-branch words as features, count answers with the leaf's label and
     the rest with the other."""
     samples = []
-    stack = [(tree.root, frozenset())]
+    stack = [(_root(tree), frozenset())]
     while stack:
         node, words = stack.pop()
-        if not node.is_leaf:
-            stack.append((node.true_child, words | {node.word}))
-            stack.append((node.false_child, words))
+        if "word" in node:
+            stack.append((node["true"], words | {node["word"]}))
+            stack.append((node["false"], words))
             continue
-        other = I if node.label is C else C
-        for i in range(node.size):
-            label = node.label if i < node.count else other
+        leaf_label = Label(node["label"])
+        other = I if leaf_label is C else C
+        for i in range(node["size"]):
+            label = leaf_label if i < node["count"] else other
             samples.append(Sample(words, f"{len(samples)}", label))
     return QuestionDataset(question_id=tree.question_id, samples=tuple(samples))
 
@@ -515,12 +532,12 @@ def test_grower_calls_select_best_rule_once_per_impure_node(monkeypatch):
         calls.clear()
         tree = build_tree(data, config)
         impure = 0
-        stack = [tree.root]
+        stack = [_root(tree)]
         while stack:
             node = stack.pop()
-            impure += node.count < node.size
-            if not node.is_leaf:
-                stack += [node.true_child, node.false_child]
+            impure += node["count"] < node["size"]
+            if "word" in node:
+                stack += [node["true"], node["false"]]
         assert len(calls) == impure
 
 
@@ -549,8 +566,7 @@ def _reference_cross_validate(data, config, plan):
         pairs = list(zip(data.samples, plan.assignments))
         train = tuple(s for s, f in pairs if f != fold)
         test = [s for s, f in pairs if f == fold]
-        root = _reference_grow(train, frozenset(), config)
-        tree = DecisionTree.from_root(data.question_id, root, config)
+        tree = _reference_tree(data.question_id, train, config)
         hits = sum(1 for s in test if classify(tree, s.features).label is s.label)
         per_fold.append((hits, len(test)))
     return tuple(per_fold)
@@ -686,7 +702,7 @@ def test_explain_single_leaf_tree():
 
 # --- compiled classification pinned to the nested-node walk ---------------
 # classify as it was before trees were compiled into flat arrays: it walks the
-# TreeNode objects, building one TraceStep per visited node. The compiled walk
+# nested nodes, building one TraceStep per visited node. The compiled walk
 # must return an equal Classification for every tree and answer.
 
 
@@ -694,26 +710,26 @@ def _reference_vocabulary(root):
     words, stack = set(), [root]
     while stack:
         node = stack.pop()
-        if not node.is_leaf:
-            words.add(node.word)
-            stack += [node.true_child, node.false_child]
+        if "word" in node:
+            words.add(node["word"])
+            stack += [node["true"], node["false"]]
     return words
 
 
 def _reference_classify(tree, features):
     visited = []
-    node = tree.root
-    while not node.is_leaf:
-        branch = node.word in features
+    root = node = _root(tree)
+    while "word" in node:
+        branch = node["word"] in features
         visited.append(
             TraceStep(
-                word=node.word,
+                word=node["word"],
                 branch=branch,
-                label=node.label,
-                probability=node.probability,
+                label=Label(node["label"]),
+                probability=node["count"] / node["size"],
             )
         )
-        node = node.true_child if branch else node.false_child
+        node = node["true"] if branch else node["false"]
     end = len(visited)
     while end > 0 and not visited[end - 1].branch:
         end -= 1
@@ -723,27 +739,35 @@ def _reference_classify(tree, features):
         if critical is None or step.probability > critical.probability:
             critical = step
     return Classification(
-        label=node.label,
-        certainty=node.probability,
+        label=Label(node["label"]),
+        certainty=node["count"] / node["size"],
         trace=trace,
         critical_word=critical.word if critical is not None else None,
-        out_of_vocabulary=_reference_vocabulary(tree.root).isdisjoint(features),
+        out_of_vocabulary=_reference_vocabulary(root).isdisjoint(features),
     )
 
 
 def _chain_tree(depth):
-    """A chain built bottom-up: node i tests "w<i>"; the deeper subtree hangs
-    off the true branch at even i and off the false branch at odd i, and the
-    other branch is a leaf."""
-    node = TreeNode(label=I, count=2, size=3)
-    for i in reversed(range(depth)):
-        leaf = TreeNode(label=C if i % 2 else I, count=i % 5 + 1, size=5)
-        deeper, other = (node, leaf) if i % 2 == 0 else (leaf, node)
-        node = TreeNode(
-            label=C, count=i % 7 + 1, size=7, word=f"w{i}",
-            true_child=deeper, false_child=other,
-        )
-    return DecisionTree.from_root("chain", node)
+    """A chain laid out as preorder arrays, since json cannot nest it this
+    deep: node i tests "w<i>"; the deeper subtree hangs off the true branch at
+    even i and off the false branch at odd i, and the other branch is a leaf.
+    An even node's leaf follows everything below it, so those leaves come
+    last, deepest first."""
+    rows, held = [], []  # rows: [word, true child, false child, label, count, size]
+    for i in range(depth):
+        index = len(rows)
+        rows.append([f"w{i}", index + 1, -1, C, i % 7 + 1, 7])
+        leaf = [None, -1, -1, C if i % 2 else I, i % 5 + 1, 5]
+        if i % 2:
+            rows.append(leaf)
+            rows[index][2] = index + 2
+        else:
+            held.append((index, leaf))
+    rows.append([None, -1, -1, I, 2, 3])
+    for index, leaf in reversed(held):
+        rows[index][2] = len(rows)
+        rows.append(leaf)
+    return DecisionTree("chain", *map(tuple, zip(*rows)))
 
 
 def _depth(root):
@@ -751,8 +775,8 @@ def _depth(root):
     while stack:
         node, depth = stack.pop()
         deepest = max(deepest, depth)
-        if not node.is_leaf:
-            stack += [(node.true_child, depth + 1), (node.false_child, depth + 1)]
+        if "word" in node:
+            stack += [(node["true"], depth + 1), (node["false"], depth + 1)]
     return deepest
 
 
@@ -779,10 +803,10 @@ def test_classify_matches_the_nested_node_walk(example_tree):
             for i in range(rng.randint(2, 30))
         )
         trees.append(build_tree(QuestionDataset("noisy", samples)))
-    assert trees[1].root.is_leaf
-    assert max(_depth(t.root) for t in trees) >= 4
+    assert "word" not in _root(trees[1])
+    assert max(_depth(_root(t)) for t in trees) >= 4
     for tree in trees:
-        words = _reference_vocabulary(tree.root)
+        words = _reference_vocabulary(_root(tree))
         assert tree.vocabulary() == words
         for features in _feature_sets(rng, words, 40):
             assert classify(tree, features) == _reference_classify(tree, features)
@@ -790,7 +814,7 @@ def test_classify_matches_the_nested_node_walk(example_tree):
 
 def test_classify_walks_a_depth_3000_chain():
     tree = _chain_tree(3000)
-    assert _depth(tree.root) == 3000
+    assert _depth(_root(tree)) == 3000
     every_even = frozenset(f"w{i}" for i in range(0, 3000, 2))
     result = classify(tree, every_even)
     # The walk reaches the bottom leaf; the last test (w2999) is false.
@@ -798,14 +822,13 @@ def test_classify_walks_a_depth_3000_chain():
     assert len(result.trace) == 2999
     assert result == _reference_classify(tree, every_even)
     rng = random.Random(5)
-    for features in _feature_sets(rng, _reference_vocabulary(tree.root), 20):
+    for features in _feature_sets(rng, _reference_vocabulary(_root(tree)), 20):
         assert classify(tree, features) == _reference_classify(tree, features)
 
 
 def test_a_depth_5000_chain_compares_hashes_and_classifies():
     first, second = _chain_tree(5000), _chain_tree(5000)
     assert first == second and hash(first) == hash(second)
-    assert DecisionTree.from_root("chain", first.root) == first
     flipped = second.labels[:-1] + (I if second.labels[-1] is C else C,)
     assert first != second._replace(labels=flipped)
     every_even = frozenset(f"w{i}" for i in range(0, 5000, 2))
@@ -821,7 +844,7 @@ def test_classify_reuses_one_result_per_leaf(example_tree_path):
     trees = [deserialize_tree(example_tree_path.read_text(encoding="utf-8"))]
     trees += [build_tree(_random_conflict_free_dataset(rng, pool)) for _ in range(20)]
     for tree in trees:
-        for features in _feature_sets(rng, _reference_vocabulary(tree.root), 30):
+        for features in _feature_sets(rng, _reference_vocabulary(_root(tree)), 30):
             want = _reference_classify(tree, features)
             first = classify(tree, features)
             # The second and third calls take the result from the memo.
@@ -832,11 +855,12 @@ def test_classify_reuses_one_result_per_leaf(example_tree_path):
 def _all_false_answers(tree):
     """An in-vocabulary and an out-of-vocabulary answer that both fail every
     test, and so reach the same leaf."""
-    on_path, node = set(), tree.root
-    while not node.is_leaf:
-        on_path.add(node.word)
-        node = node.false_child
-    off_path = sorted(_reference_vocabulary(tree.root) - on_path)
+    on_path, root = set(), _root(tree)
+    node = root
+    while "word" in node:
+        on_path.add(node["word"])
+        node = node["false"]
+    off_path = sorted(_reference_vocabulary(root) - on_path)
     return frozenset(off_path[:1]), frozenset({"outside"})
 
 
@@ -970,6 +994,15 @@ def test_deserialize_rejects_garbage():
 
 
 MISSING = object()
+
+
+@pytest.mark.parametrize("trained_at", [None, ["x"], 7, {}])
+def test_deserialize_requires_a_string_trained_at(example_tree_path, trained_at):
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    document["trained_at"] = trained_at
+    with pytest.raises(TreeFormatError) as raised:
+        deserialize_tree(json.dumps(document))
+    assert str(raised.value) == "trained_at must be a string"
 
 
 @pytest.mark.parametrize("question_id", [MISSING, None, "", ["x"], 7])

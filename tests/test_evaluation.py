@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 from answertree.corpus import AnswerRecord, Label, build_question_dataset
 from answertree.dtree import TrainConfig
 from answertree.evaluation import (
-    Baseline,
     FoldError,
     FoldPlan,
     QuestionRow,
     build_report,
     cross_validate,
-    make_folds,
     make_stratified_folds,
-    null_baseline,
     pearson,
     regularized_incomplete_beta,
     report_to_csv,
@@ -39,31 +36,6 @@ def dataset(pairs, qid="q"):
 # --- fold planning -----------------------------------------------------------
 
 
-def test_make_folds_even_split():
-    plan = make_folds(100, k=10, seed=0)
-    sizes = Counter(plan.assignments)
-    assert all(sizes[f] == 10 for f in range(10))
-    assert sorted(set(plan.assignments)) == list(range(10))
-
-
-def test_make_folds_uneven_split_stays_within_one():
-    plan = make_folds(12, k=10, seed=0)
-    sizes = sorted(Counter(plan.assignments).values(), reverse=True)
-    assert sizes == [2, 2, 1, 1, 1, 1, 1, 1, 1, 1]
-
-
-def test_make_folds_deterministic_and_seed_sensitive():
-    assert make_folds(40, seed=5) == make_folds(40, seed=5)
-    assert make_folds(40, seed=5) != make_folds(40, seed=6)
-
-
-def test_make_folds_rejects_bad_arguments():
-    with pytest.raises(FoldError, match="2 folds"):
-        make_folds(10, k=1)
-    with pytest.raises(FoldError, match="cannot make 10 folds from 9"):
-        make_folds(9, k=10)
-
-
 def test_stratified_folds_preserve_class_proportions():
     labels = [C] * 60 + [I] * 40
     plan = make_stratified_folds(labels, k=10, seed=0)
@@ -80,12 +52,26 @@ def test_stratified_folds_uneven_classes_stay_within_one():
     assert max(sizes.values()) - min(sizes[f] for f in range(10)) <= 1
 
 
-@given(st.integers(10, 120), st.integers(2, 10), st.integers(0, 5))
-def test_fold_sizes_never_differ_by_more_than_one(n, k, seed):
-    plan = make_folds(n, k=k, seed=seed)
+@given(st.lists(st.sampled_from([C, I]), min_size=10, max_size=120),
+       st.integers(2, 10), st.integers(0, 5))
+def test_fold_sizes_never_differ_by_more_than_one(labels, k, seed):
+    plan = make_stratified_folds(labels, k=k, seed=seed)
     sizes = [plan.assignments.count(f) for f in range(k)]
-    assert sum(sizes) == n
+    assert sum(sizes) == len(labels)
     assert max(sizes) - min(sizes) <= 1
+
+
+def test_stratified_folds_deterministic_and_seed_sensitive():
+    labels = [C, I, I] * 15
+    assert make_stratified_folds(labels, seed=5) == make_stratified_folds(labels, seed=5)
+    assert make_stratified_folds(labels, seed=5) != make_stratified_folds(labels, seed=6)
+
+
+def test_stratified_folds_reject_bad_arguments():
+    with pytest.raises(FoldError, match="2 folds"):
+        make_stratified_folds([C, I] * 5, k=1)
+    with pytest.raises(FoldError, match="cannot make 10 folds from 9"):
+        make_stratified_folds([C] * 4 + [I] * 5, k=10)
 
 
 # --- cross-validation --------------------------------------------------------
@@ -126,7 +112,7 @@ def test_cross_validate_pools_hits_across_folds():
 
 def test_cross_validate_rejects_mismatched_plan():
     data = separable_dataset(6, 6)
-    plan = make_folds(10, k=5)
+    plan = make_stratified_folds([C] * 5 + [I] * 5, k=5)
     with pytest.raises(FoldError, match="fold plan covers 10"):
         cross_validate(data, TrainConfig(), plan)
 
@@ -138,29 +124,6 @@ def test_cross_validate_rejects_a_fold_outside_the_plan(fold):
     with pytest.raises(FoldError) as raised:
         cross_validate(data, TrainConfig(), plan)
     assert str(raised.value) == f"sample 5 is assigned fold {fold}, outside 0..1"
-
-
-# --- null baselines ----------------------------------------------------------
-
-
-def test_null_baselines():
-    data = separable_dataset(15, 5)  # grade 0.75
-    assert null_baseline(data, Baseline.ALL_CORRECT) == 0.75
-    assert null_baseline(data, Baseline.ALL_INCORRECT) == 0.25
-    assert null_baseline(data, Baseline.MAJORITY) == 0.75
-    skewed = separable_dataset(6, 14)
-    assert null_baseline(skewed, Baseline.MAJORITY) == 0.7
-
-
-@given(st.integers(1, 50), st.integers(1, 50))
-def test_null_baselines_complement_and_dominate(n_c, n_i):
-    data = separable_dataset(n_c, n_i)
-    all_c = null_baseline(data, Baseline.ALL_CORRECT)
-    all_i = null_baseline(data, Baseline.ALL_INCORRECT)
-    majority = null_baseline(data, Baseline.MAJORITY)
-    assert all_c + all_i == pytest.approx(1.0)
-    assert majority == pytest.approx(max(all_c, all_i))
-    assert majority >= 0.5
 
 
 # --- correlation statistics --------------------------------------------------

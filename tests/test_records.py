@@ -42,7 +42,6 @@ def _records():
         corpus.parse_answer_file("question_id,answer,label\nq,alpha,correct\n", "csv")[0],
         corpus.validate_dataset([AnswerRecord("q", "the", C)]),
         tree.config,
-        tree.root,
         tree,
         dtree.evaluate_split(data.samples, "alpha", dtree.entropy(6, 6)),
         classify(tree, preprocess("alpha wrong")).trace[0],
@@ -70,7 +69,7 @@ def _record_types():
 
 def test_every_record_type_is_covered():
     assert {type(record) for record in _records()} == _record_types()
-    assert len(_record_types()) == 18
+    assert len(_record_types()) == 17
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

@@ -8,7 +8,6 @@ from answertree.textprep import (
     PreprocessConfig,
     parse_stopword_file,
     preprocess,
-    tokenize,
     unique_word_counts,
 )
 
@@ -24,14 +23,15 @@ def test_default_stopword_list_is_exactly_the_31_words():
     assert len(DEFAULT_STOPWORDS) == 31
 
 
-def test_tokenize_lowercases_and_splits_on_non_alphanumeric():
-    assert tokenize("Papillary Muscles") == ["papillary", "muscles"]
-    assert tokenize("keep av valves closed") == ["keep", "av", "valves", "closed"]
-    assert tokenize("") == []
-    assert tokenize("atrio-ventricular valve/cusp") == [
+def test_preprocess_lowercases_and_splits_on_non_alphanumeric():
+    no_stopwords = PreprocessConfig(stopwords=frozenset())
+    assert preprocess("Papillary Muscles", no_stopwords) == {"papillary", "muscles"}
+    assert preprocess("keep av valves closed", no_stopwords) == {"keep", "av", "valves", "closed"}
+    assert preprocess("", no_stopwords) == frozenset()
+    assert preprocess("atrio-ventricular valve/cusp", no_stopwords) == {
         "atrio", "ventricular", "valve", "cusp",
-    ]
-    assert tokenize("L4, L5!") == ["l4", "l5"]
+    }
+    assert preprocess("L4, L5!", no_stopwords) == {"l4", "l5"}
 
 
 def test_preprocess_removes_stopwords():
@@ -69,12 +69,6 @@ def test_parse_stopword_file_rejects_an_entry_that_is_not_one_word():
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
 
 
-@given(st.text(max_size=200))
-def test_tokenize_idempotent_on_its_own_output(text):
-    tokens = tokenize(text)
-    assert tokenize(" ".join(tokens)) == tokens
-
-
 @given(
     st.text(max_size=200)
     | st.lists(st.sampled_from(sorted(EXPECTED_STOPWORDS)) | words, max_size=30).map(
@@ -84,10 +78,9 @@ def test_tokenize_idempotent_on_its_own_output(text):
 def test_preprocess_idempotent_and_never_grows(text):
     once = preprocess(text)
     assert preprocess(" ".join(once)) == once
-    # The set of the text's tokens that are not stopwords, and nothing more.
-    tokens = tokenize(text)
-    assert once == frozenset(t for t in tokens if t not in DEFAULT_STOPWORDS)
-    assert len(once) <= len(tokens)
+    # The text's words that are not stopwords, and nothing more.
+    every_word = preprocess(text, PreprocessConfig(stopwords=frozenset()))
+    assert once == every_word - DEFAULT_STOPWORDS
 
 
 def _dataset(samples):
