@@ -13,10 +13,13 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable, TypeVar
 
 from . import corpus, dtree, evaluation, textprep
 
 DEFAULT_CERTAINTY_THRESHOLD = 0.70
+
+_J, _R = TypeVar("_J"), TypeVar("_R")
 
 
 def _atomic_write(path: Path, content: str) -> None:
@@ -84,63 +87,66 @@ def _trained_at() -> str:
         ) from None
 
 
-def _build_datasets(
-    records: list[corpus.AnswerRecord], prep: textprep.PreprocessConfig
-) -> dict[str, corpus.QuestionDataset]:
-    """Validate every question up front; raise after reporting all conflicts."""
-    groups = corpus.group_records(records)
-    failed = False
-    datasets: dict[str, corpus.QuestionDataset] = {}
-    for question_id, group in groups.items():
+def _per_question(
+    command: str, answers: str, prep: textprep.PreprocessConfig, work: Callable[..., _R]
+) -> list[_R]:
+    """``work`` on each question's dataset, in question order. A question is
+    one job, dealt by its record count, that validates and ingests its records
+    and runs ``work``; once all are done, every failed validation is reported."""
+    groups = list(corpus.group_records(_load_records(answers)).values())
+
+    def job(group: list[corpus.AnswerRecord]) -> tuple[bool, _R | str]:
         report = corpus.validate_dataset(group, prep)
         if not report.ok:
-            print(report.render(), file=sys.stderr)
-            failed = True
-            continue
+            return False, report.render()
         try:
-            datasets[question_id] = corpus.build_question_dataset(
-                group, question_id, prep
-            )
+            dataset = corpus.build_question_dataset(group, report.question_id, prep)
         except corpus.EmptyDatasetError as exc:
-            print(str(exc), file=sys.stderr)
-            failed = True
-    if failed:
+            return False, str(exc)
+        return True, work(dataset)
+
+    results = _fan_out(command, job, groups, [len(group) for group in groups])
+    failures = [value for ok, value in results if not ok]
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
         raise corpus.CorpusError("answer file failed validation")
-    return datasets
+    return [value for _, value in results]
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     trained_at = _trained_at()
     prep = _load_prep(args.stopwords)
-    datasets = _build_datasets(_load_records(args.answers), prep)
     config = dtree.TrainConfig(min_gain=args.min_gain)
-    out_dir = Path(args.out)
-    # Each id names a file in --out; check them all before writing any.
-    for question_id in datasets:
-        separators = any(c in question_id for c in "/\\\0")
-        if separators or question_id in ("", ".", ".."):
-            raise corpus.CorpusError(
-                f"question id {question_id!r} is not a safe file name"
-            )
-    # Build and serialize every tree before writing any, so a question that
-    # fails leaves no partial output.
-    outputs = []
-    for question_id, dataset in datasets.items():
+
+    def train(dataset: corpus.QuestionDataset) -> tuple[str, str | None, str]:
+        """(question id, tree text, summary line), or no text and the error."""
+        question_id = dataset.question_id
         tree = dtree.build_tree(dataset, config, trained_at=trained_at)
-        try:  # the JSON writer recurses once per tree level
+        try:
             text = dtree.serialize_tree(tree)
-        except RecursionError:
-            message = f"question {question_id!r}: tree nested too deep"
-            raise corpus.CorpusError(message) from None
-        outputs.append((question_id, dataset, text))
-    for question_id, dataset, text in outputs:
-        _atomic_write(out_dir / f"{question_id}.tree.json", text)
+        except dtree.TreeFormatError as exc:
+            return question_id, None, f"question {question_id!r}: {exc}"
         counts = textprep.unique_word_counts(dataset)
-        print(
+        return question_id, text, (
             f"{question_id}: {len(dataset)} samples "
             f"({dataset.correct_count} correct, {dataset.incorrect_count} incorrect), "
             f"vocabulary {counts.all_words}"
         )
+
+    outputs = _per_question("train", args.answers, prep, train)
+    # Each id names a file in --out; check them all before writing any.
+    for question_id, _, _ in outputs:
+        if any(c in question_id for c in "/\\\0") or question_id in ("", ".", ".."):
+            message = f"question id {question_id!r} is not a safe file name"
+            raise corpus.CorpusError(message)
+    # Every tree is built first, so a question that fails leaves no output.
+    for _, text, line in outputs:
+        if text is None:
+            raise corpus.CorpusError(line)
+    out_dir = Path(args.out)
+    for question_id, text, line in outputs:
+        _atomic_write(out_dir / f"{question_id}.tree.json", text)
+        print(line)
     return 0
 
 
@@ -228,11 +234,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
     return 0
 
 
-Job = tuple[corpus.QuestionDataset, evaluation.FoldPlan]
-
-
 def _worker_count(jobs: int) -> int:
-    """The CPUs this process may use, at most one per job.
+    """The CPUs this process may use, at most one per job and at least one.
 
     One where there is no affinity mask or no fork, and in a process with
     other threads: a forked child holds only the thread that forked it, so
@@ -245,41 +248,40 @@ def _worker_count(jobs: int) -> int:
         or (threading is not None and threading.active_count() > 1)
     ):
         return 1
-    return min(len(os.sched_getaffinity(0)), jobs)
+    return max(1, min(len(os.sched_getaffinity(0)), jobs))
 
 
 def _run_share(
-    share: list[Job], config: dtree.TrainConfig, parent: int | None = None
-) -> list[evaluation.QuestionAccuracy]:
+    work: Callable[[_J], _R], share: list[_J], parent: int | None = None
+) -> list[_R]:
     results = []
-    for dataset, plan in share:
+    for job in share:
         if parent is not None and os.getppid() != parent:
             os._exit(1)  # the parent is gone, so no one will read the results
-        results.append(evaluation.cross_validate(dataset, config, plan))
+        results.append(work(job))
     return results
 
 
-def _cross_validate_all(
-    jobs: list[Job], config: dtree.TrainConfig
-) -> list[evaluation.QuestionAccuracy]:
-    """Cross-validate every job on one worker per CPU, dealing the costliest
-    first (samples times vocabulary) to the least-loaded worker, ties to the
-    lower job and worker index. The parent runs the first share itself; each
-    other share runs in a forked child, which pickles its results (or its
-    exception) into a pipe. Results come back in job order, so the output
-    does not depend on the worker count. With one worker nothing is forked."""
-    import pickle
-    import signal
-
+def _fan_out(
+    command: str, work: Callable[[_J], _R], jobs: list[_J], costs: list[int]
+) -> list[_R]:
+    """``work`` on every job, on one worker per CPU, dealing the costliest
+    first to the least-loaded worker, ties to the lower job and worker index.
+    The parent runs the first share itself; each other share runs in a forked
+    child, which pickles its results (or its exception) into a pipe. Results
+    come back in job order, so the output does not depend on the worker
+    count. With one worker nothing is forked."""
     workers = _worker_count(len(jobs))
-    costs = [len(dataset) * len(dataset.index.words) for dataset, _ in jobs]
     shares: list[list[int]] = [[] for _ in range(workers)]
     for job in sorted(range(len(jobs)), key=lambda job: -costs[job]):
         min(shares, key=lambda share: sum(costs[j] for j in share)).append(job)
     dealt = [[jobs[j] for j in share] for share in shares]
-    results: dict[int, evaluation.QuestionAccuracy] = {}
+    results: dict[int, _R] = {}
     parent = os.getpid()
     children = []  # (pid, read end of its pipe) per unreaped child, in worker order
+    if workers > 1:  # here: one worker needs neither
+        import pickle
+        import signal
     try:
         for share in dealt[1:]:
             read_end, write_end = os.pipe()
@@ -291,7 +293,7 @@ def _cross_validate_all(
                     for _, pipe in children:
                         pipe.close()
                     try:
-                        payload = (True, _run_share(share, config, parent))
+                        payload = (True, _run_share(work, share, parent))
                     except Exception as exc:
                         payload = (False, exc)
                     with open(write_end, "wb") as pipe:
@@ -301,7 +303,7 @@ def _cross_validate_all(
                     os._exit(status)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        results.update(zip(shares[0], _run_share(dealt[0], config)))
+        results.update(zip(shares[0], _run_share(work, dealt[0])))
         for worker in range(1, workers):
             pid, pipe = children[0]
             with pipe:
@@ -311,7 +313,7 @@ def _cross_validate_all(
             if code != 0:
                 ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
                 raise ChildProcessError(
-                    f"evaluate worker {worker} ended with {ended} "
+                    f"{command} worker {worker} ended with {ended} "
                     "before sending its results"
                 )
             ok, value = pickle.loads(data)
@@ -328,28 +330,30 @@ def _cross_validate_all(
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     prep = _load_prep(args.stopwords)
-    datasets = _build_datasets(_load_records(args.answers), prep)
     config = dtree.TrainConfig(min_gain=args.min_gain)
-    jobs: list[Job] = []
-    for question_id, dataset in datasets.items():
+
+    def evaluate(dataset: corpus.QuestionDataset) -> evaluation.QuestionRow | str:
+        """The question's report row, or why it was skipped."""
         if len(dataset) < args.k:
-            print(
-                f"skipping {question_id}: {len(dataset)} samples is fewer than "
-                f"k={args.k}",
-                file=sys.stderr,
+            return (
+                f"skipping {dataset.question_id}: {len(dataset)} samples is fewer "
+                f"than k={args.k}"
             )
-            continue
         plan = evaluation.make_stratified_folds(
             [s.label for s in dataset.samples], args.k, args.seed
         )
-        jobs.append((dataset, plan))
-    if not jobs:
+        accuracy = evaluation.cross_validate(dataset, config, plan)
+        return evaluation.make_row(accuracy, textprep.unique_word_counts(dataset))
+
+    rows = []
+    for result in _per_question("evaluate", args.answers, prep, evaluate):
+        if isinstance(result, str):
+            print(result, file=sys.stderr)
+        else:
+            rows.append(result)
+    if not rows:
         print("no question had enough samples to evaluate", file=sys.stderr)
         return 1
-    rows = [
-        evaluation.make_row(accuracy, textprep.unique_word_counts(dataset))
-        for accuracy, (dataset, _) in zip(_cross_validate_all(jobs, config), jobs)
-    ]
     report = evaluation.build_report(rows)
     out_dir = Path(args.out)
     _atomic_write(out_dir / "report.csv", evaluation.report_to_csv(report))

@@ -202,7 +202,7 @@ def _read_answers(
             where, rows = "row", enumerate(reader, start=1)
         else:
             try:
-                data = json.loads(content)
+                data = json.loads(content, parse_constant=_reject_constant)
             except (ValueError, RecursionError) as exc:  # also an over-long integer
                 raise AnswerFileError(f"invalid JSON: {exc}") from None
             if not isinstance(data, list):
@@ -229,6 +229,10 @@ def _read_answers(
     except csv.Error as exc:
         raise AnswerFileError(f"CSV line {reader.line_num}: {exc}") from None
     return items
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"{name} is not a JSON value")
 
 
 def _json_text(column: str, value: object) -> str:

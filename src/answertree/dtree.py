@@ -13,6 +13,7 @@ import math
 import sys
 from collections.abc import Iterable, Sequence
 from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset, Sample
@@ -399,32 +400,58 @@ def explain(classification: Classification) -> str:
     return "\n".join(lines)
 
 
+def _descend(levels: int) -> int:
+    """Recurse ``levels`` deep: a frame per level of a document, as json's
+    reader takes on CPython 3.11 and earlier."""
+    return levels and _descend(levels - 1)
+
+
 def serialize_tree(tree: DecisionTree) -> str:
-    """The tree as a nested v1 document. Each node's object holds its
-    children's, so the objects are built bottom-up, in reverse preorder."""
-    objs: list = [None] * len(tree.words)
-    for i in reversed(range(len(tree.words))):
-        word = tree.words[i]
-        obj: dict = {} if word is None else {"word": word}
-        obj["label"] = tree.labels[i].value
-        obj["count"] = tree.counts[i]
-        obj["size"] = tree.sizes[i]
+    """The tree as a v1 document: the text of ``json.dumps(document,
+    indent=2)`` and a newline, written in one pass over the preorder arrays.
+    A node's true child comes next; after a leaf comes the false child of the
+    deepest node still waiting for one. A tree too deep for json to read back
+    under the recursion limit raises TreeFormatError."""
+    quote = encode_basestring_ascii
+    label_text = {label: quote(label.value) for label in Label}
+    parts = [
+        '{\n  "question_id": ', quote(tree.question_id),
+        ',\n  "trained_at": ', quote(tree.trained_at),
+        ',\n  "config": {\n    "min_gain": ', json.dumps(tree.config.min_gain),
+        ',\n    "leaf_tie_label": ', label_text[tree.config.leaf_tie_label],
+        '\n  },\n  "root": ',
+    ]
+    # Per node depth: the line break and indent before each of its keys, and
+    # its closing brace, two spaces to the left.
+    keys, ends = ["\n    "], ["\n  }"]
+    waiting: list[int] = []  # depths of the nodes whose false child is to come
+    depth = 0
+    for word, label, count, size in zip(tree.words, tree.labels, tree.counts, tree.sizes):
+        key = keys[depth]
+        node = f'{key}"label": {label_text[label]},{key}"count": {count},{key}"size": {size}'
         if word is not None:
-            obj["true"] = objs[tree.true_index[i]]
-            obj["false"] = objs[tree.false_index[i]]
-        objs[i] = obj
-    document = {
-        "question_id": tree.question_id,
-        "trained_at": tree.trained_at,
-        "config": {
-            "min_gain": tree.config.min_gain,
-            "leaf_tie_label": tree.config.leaf_tie_label.value,
-        },
-        "root": objs[0],
-    }
-    # The writer recurses once per level and fails past about 1,000 of
-    # them, as json.loads does: a tree it can write can be read back.
-    return json.dumps(document, indent=2) + "\n"
+            parts.append(f'{{{key}"word": {quote(word)},{node},{key}"true": ')
+            waiting.append(depth)
+            depth += 1
+            if depth == len(keys):
+                keys.append(key + "  ")
+                ends.append(key + "}")
+            continue
+        parts.append(f"{{{node}{ends[depth]}")
+        if waiting:
+            parent = waiting.pop()
+            parts.extend(ends[parent + 1:depth][::-1])
+            parts.append(f',{keys[parent]}"false": ')
+            depth = parent + 1
+    parts += [*ends[:depth][::-1], "\n}\n"]
+    # Only a document 100 or more levels deep nears the limit. It must fit
+    # under it on every version, with ten frames to spare for a reader's calls.
+    if len(keys) >= 100:
+        try:
+            _descend(len(keys) + 10)
+        except RecursionError:
+            raise TreeFormatError("tree nested too deep") from None
+    return "".join(parts)
 
 
 # JSON true/false load as bool, which Python counts as an int.

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import inspect
 import io
 import json
 import os
@@ -127,6 +129,36 @@ def test_a_json_value_that_is_not_text_is_exit_1(
     captured = capsys.readouterr()
     assert captured.err == "element 0: question_id must be text or a number, not null\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["train", "grade"])
+def test_a_non_json_constant_is_a_one_line_error(
+    tmp_path, capsys, example_tree_path, command, constant
+):
+    # json.loads reads these literals as floats, which would name a question
+    # "nan"; they are not JSON, so the file is rejected.
+    elements = ", ".join(
+        f'{{"question_id": {constant}, "answer": "{answer}", "label": {label}}}'
+        for answer, label in (("alpha", 1), ("beta", 0))
+    )
+    answers = write(tmp_path / "answers.json", f"[{elements}]")
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--answers", answers, "--out", str(out)]
+    else:
+        trees = tmp_path / "trees"
+        trees.mkdir()
+        shutil.copy(example_tree_path, trees / "Q52.tree.json")
+        argv = ["grade", "--trees", str(trees), "--answers", answers, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"invalid JSON: {constant} is not a JSON value\n"
+    assert captured.out == ""
+    assert not out.exists()
+    assert sorted(p.name for p in tmp_path.rglob("*.json")) == sorted(
+        ["answers.json"] + (["Q52.tree.json"] if command == "grade" else [])
+    )
 
 
 def test_train_conflicting_labels_fail_with_exit_1(tmp_path, capsys):
@@ -503,7 +535,8 @@ def test_a_tree_too_deep_to_grow_is_a_one_line_error(tmp_path, capsys, command):
 
 def test_evaluate_grows_trees_too_deep_to_write(tmp_path, capsys):
     # Each fold trains on 2,200 answers, so its tree is a chain 1,100 tests
-    # deep: deeper than train can write, and than a recursive grower can grow.
+    # deep: deeper than train writes, as json could not read it back, and
+    # than a recursive grower can grow.
     answers = write(tmp_path / "answers.csv", _chain_answers(4400))
     out = tmp_path / "out"
     assert main(["evaluate", "--answers", answers, "--k", "2", "--out", str(out)]) == 0
@@ -711,10 +744,13 @@ def test_evaluate_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypa
     assert len(report_csv.splitlines()) == 7  # the header and six questions
 
 
-def test_evaluate_forks_no_worker_beside_another_thread(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_no_worker_is_forked_beside_another_thread(
+    tmp_path, monkeypatch, reproducible_clock, command
+):
     answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
     _cpus(monkeypatch, 1)
-    assert main(["evaluate", "--answers", answers, "--out", str(tmp_path / "one")]) == 0
+    assert main([command, "--answers", answers, "--out", str(tmp_path / "one")]) == 0
     _cpus(monkeypatch, 2)
 
     def fork():
@@ -725,12 +761,14 @@ def test_evaluate_forks_no_worker_beside_another_thread(tmp_path, monkeypatch):
     waiter = threading.Thread(target=stop.wait)
     waiter.start()
     try:
-        assert main(["evaluate", "--answers", answers, "--out", str(tmp_path / "two")]) == 0
+        assert main([command, "--answers", answers, "--out", str(tmp_path / "two")]) == 0
     finally:
         stop.set()
         waiter.join()
-    for name in ("report.csv", "report.json"):
-        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+    one = sorted((tmp_path / "one").iterdir())
+    assert len(one) == (6 if command == "train" else 2)
+    for path in one:
+        assert path.read_bytes() == (tmp_path / "two" / path.name).read_bytes()
 
 
 def _fail_in(monkeypatch, question_id, fail, in_child=True):
@@ -763,7 +801,8 @@ def test_evaluate_error_in_a_worker_is_one_line_exit_1(tmp_path, capsys, monkeyp
     def fail():
         raise evaluation.FoldError("fold 3: empty training split")
 
-    # Worker 0, the parent, takes q2, the costliest job; q4, the next, goes to worker 1.
+    # Jobs are dealt by record count. Worker 0, the parent, takes q2, the
+    # costliest job; q4, the next, goes to worker 1.
     _fail_in(monkeypatch, "q4", fail)
     _assert_evaluate_fails_alone(tmp_path, capsys, "fold 3: empty training split")
 
@@ -779,15 +818,11 @@ def test_evaluate_reaps_workers_when_its_own_share_fails(tmp_path, capsys, monke
 
 
 def test_evaluate_parent_takes_the_costliest_question(tmp_path, capsys, monkeypatch):
-    # A job's cost is estimated as samples times vocabulary, counted here
-    # from each question's answers.
+    # A job's cost is its question's record count.
     groups = corpus.group_records(
         corpus.parse_answer_file(_questions_of_unequal_cost(), "csv")
     )
-    costs = {}
-    for question_id, group in groups.items():
-        vocabulary = set().union(*(preprocess(r.raw_text) for r in group))
-        costs[question_id] = len(group) * len(vocabulary)
+    costs = {question_id: len(group) for question_id, group in groups.items()}
     costliest = max(costs, key=costs.get)
     assert costliest == "q2"  # the job the parent fails on above
 
@@ -802,7 +837,8 @@ def test_evaluate_parent_takes_the_costliest_question(tmp_path, capsys, monkeypa
 
 def test_evaluate_worker_that_dies_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
     _cpus(monkeypatch, 3)
-    # Worker 2 takes q6, q3, q1 and q5, whose estimated cost equals q4's on worker 1.
+    # By record count, worker 1 takes q4 and q1 (80 records) and worker 2 q6,
+    # q3 and q5 (87).
     _fail_in(monkeypatch, "q3", lambda: os._exit(3))
     _assert_evaluate_fails_alone(
         tmp_path, capsys, "evaluate worker 2 ended with exit status 3 before sending its results"
@@ -817,14 +853,167 @@ def test_evaluate_worker_stops_once_its_parent_is_gone(tmp_path, capsys, monkeyp
     )
 
 
+def test_train_output_does_not_depend_on_the_cpu_count(
+    tmp_path, capsys, monkeypatch, reproducible_clock
+):
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
+    outputs = set()
+    for cpus in (1, 2, 3, 50):  # 50 is more CPUs than questions
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["train", "--answers", answers, "--out", str(out)]) == 0
+        trees = tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir()))
+        captured = capsys.readouterr()
+        outputs.add((trees, captured.out, captured.err))
+    assert len(outputs) == 1
+    trees, stdout, stderr = outputs.pop()
+    assert [name for name, _ in trees] == [f"q{n}.tree.json" for n in range(1, 7)]
+    assert [line.split(":")[0] for line in stdout.splitlines()] == [
+        f"q{n}" for n in range(1, 7)
+    ]
+    assert stderr == ""
+
+
+def test_train_and_evaluate_with_no_question(tmp_path, capsys, monkeypatch):
+    _cpus(monkeypatch, 2)
+    answers = write(tmp_path / "answers.csv", "question_id,answer,label\n")
+    out = tmp_path / "out"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+    assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["no question had enough samples to evaluate"]
+    assert not out.exists()
+
+
+@contextlib.contextmanager
+def _recursion_room(frames):
+    """Hold the recursion limit ``frames`` above the caller's stack, so that
+    a tree a few hundred levels deep is too deep for json to read back."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_train_writes_a_chain_only_if_it_reads_back(tmp_path, capsys):
+    written, refused = [], []
+    with _recursion_room(250):
+        for depth in range(100, 300, 20):
+            answers = write(tmp_path / f"chain{depth}.csv", _chain_answers(2 * depth))
+            out = tmp_path / f"out{depth}"
+            code = main(["train", "--answers", answers, "--out", str(out)])
+            err = capsys.readouterr().err
+            if code == 0:
+                tree = deserialize_tree((out / "q1.tree.json").read_text(encoding="utf-8"))
+                written.append((depth, len(tree.words), err))
+            else:
+                refused.append((depth, code, err, out.exists()))
+    assert written and refused
+    assert max(depth for depth, *_ in written) < min(depth for depth, *_ in refused)
+    for depth, nodes, err in written:
+        assert (nodes, err) == (2 * depth + 1, "")
+    for _, code, err, exists in refused:
+        assert (code, err, exists) == (1, "question 'q1': tree nested too deep\n", False)
+
+
+# q0 has the most records, so it is dealt to the parent, and q1, with the
+# next most, to worker 1.
+_TWO_LOADS = "question_id,answer,label\n" + "q0,alpha,correct\nq0,beta,incorrect\n" * 200
+
+
+def _assert_train_fails_alike(tmp_path, capsys, monkeypatch, answers_text, cpus, lines):
+    """Train on one CPU and on ``cpus``: each run is exit 1 with the stderr
+    ``lines``, writes no tree and leaves no worker behind."""
+    answers = write(tmp_path / "answers.csv", answers_text)
+    for count in (1, cpus):
+        _cpus(monkeypatch, count)
+        out = tmp_path / f"cpus{count}"
+        assert main(["train", "--answers", answers, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err.splitlines()) == ("", lines)
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
+    tmp_path, capsys, monkeypatch
+):
+    # Dealt by record count to three workers: q2 to the parent, q3 and q6 to
+    # worker 2 and q7 to worker 1.
+    conflict = "{q},dupe,correct\n{q},dupe,incorrect\n"
+    text = (
+        _questions_of_unequal_cost()
+        + conflict.format(q="q6")
+        + conflict.format(q="q3")
+        + "q7, ,correct\nq7,,incorrect\n"
+        + conflict.format(q="q2")
+    )
+    groups = corpus.group_records(corpus.parse_answer_file(text, "csv"))
+    lines = []
+    for question_id in ("q2", "q3", "q6"):
+        lines += corpus.validate_dataset(groups[question_id]).render().splitlines()
+    lines += ["question 'q7': no non-blank answers to train on", "answer file failed validation"]
+    _assert_train_fails_alike(tmp_path, capsys, monkeypatch, text, 3, lines)
+
+
+def test_train_reports_a_tree_too_deep_in_a_worker_as_on_one_cpu(
+    tmp_path, capsys, monkeypatch
+):
+    text = _TWO_LOADS + _chain_answers(300)[len("question_id,answer,label\n"):]
+    with _recursion_room(120):
+        _assert_train_fails_alike(
+            tmp_path, capsys, monkeypatch, text, 2, ["question 'q1': tree nested too deep"]
+        )
+
+
+def _reject(message):
+    raise corpus.CorpusError(message)
+
+
+@pytest.mark.parametrize(
+    "fail, message",
+    [
+        (lambda: os._exit(3), "train worker 1 ended with exit status 3 before sending its results"),
+        (lambda: _reject("q1: rejected in a worker"), "q1: rejected in a worker"),
+    ],
+    ids=["dies", "raises"],
+)
+def test_train_worker_that_fails_is_one_line_exit_1(
+    tmp_path, capsys, monkeypatch, fail, message
+):
+    _cpus(monkeypatch, 2)
+    test_pid = os.getpid()
+    build_tree = dtree.build_tree
+
+    def failing(dataset, *args, **kwargs):
+        if dataset.question_id == "q1" and os.getpid() != test_pid:
+            fail()
+        return build_tree(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(dtree, "build_tree", failing)
+    answers = write(tmp_path / "answers.csv", _TWO_LOADS + "q1,gamma,correct\n")
+    out = tmp_path / "out"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert not out.exists()
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize(
     "module", ["pickle", "dataclasses", "inspect", "datetime", "tempfile", "shutil"]
 )
 def test_cli_import_leaves_pickle_out(module):
-    # Every command pays for what importing the CLI imports. Only evaluate's
-    # fan-out needs pickle, only train needs datetime, and only commands that
-    # write a file need tempfile and the shutil it imports; the records are
-    # NamedTuples, so nothing needs dataclasses or the inspect it imports.
+    # Every command pays for what importing the CLI imports. Only a fan-out
+    # to several workers needs pickle, only train needs datetime, and only
+    # commands that write a file need tempfile and the shutil it imports;
+    # the records are NamedTuples, so nothing needs dataclasses or the
+    # inspect it imports.
     # -S keeps site out, since a .pth file it runs may import any of these.
     code = f"import sys, answertree.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given
@@ -48,15 +49,16 @@ def dataset(pairs, qid="q"):
 
 
 def _root(tree):
-    """The tree's nested form: each node a dict shaped like a v1 file's node
-    (``word``, ``label``, ``count``, ``size``, ``true``, ``false``; a leaf has
-    no word). Built bottom-up from the preorder arrays, where a node's
-    children come after it, so no depth is too deep."""
+    """The tree's nested form: each node a dict shaped like a v1 file's node,
+    with its keys in the file's order (``word``, ``label``, ``count``,
+    ``size``, ``true``, ``false``; a leaf has no word). Built bottom-up from
+    the preorder arrays, where a node's children come after it, so no depth
+    is too deep."""
     nodes = [None] * len(tree.words)
     for i in reversed(range(len(tree.words))):
-        node = {"label": tree.labels[i].value, "count": tree.counts[i], "size": tree.sizes[i]}
+        node = {} if tree.words[i] is None else {"word": tree.words[i]}
+        node.update(label=tree.labels[i].value, count=tree.counts[i], size=tree.sizes[i])
         if tree.words[i] is not None:
-            node["word"] = tree.words[i]
             node["true"] = nodes[tree.true_index[i]]
             node["false"] = nodes[tree.false_index[i]]
         nodes[i] = node
@@ -924,6 +926,75 @@ def test_serialize_round_trip_random_trained_trees():
         tree = build_tree(data)
         text = serialize_tree(tree)
         assert deserialize_tree(text) == tree
+
+
+# Text with what json must escape: quotes, backslashes, control characters
+# and characters outside ASCII, including ones beyond the 16-bit range.
+_AWKWARD_CHARS = '"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'
+_AWKWARD_TEXT = st.text(st.one_of(st.sampled_from(_AWKWARD_CHARS), st.characters()), max_size=12)
+_LABELS = st.sampled_from([C, I])
+_LEAF_SHAPES = st.tuples(_LABELS, st.integers(0, 10**12), st.integers(1, 10**12))
+_TREE_SHAPES = st.recursive(
+    _LEAF_SHAPES,
+    lambda children: st.tuples(
+        _AWKWARD_TEXT, _LABELS, st.integers(0, 10**12), st.integers(1, 10**12),
+        children, children,
+    ),
+    max_leaves=30,
+)
+_MIN_GAINS = st.one_of(
+    st.sampled_from([0, 0.0, 3, 0.1, 5e-324, 1e16, 1.7976931348623157e308, 10**30]),
+    st.integers(min_value=0),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+
+
+def _tree_from_shape(shape, question_id, config, trained_at):
+    """The tree whose nested shape is ``shape``: a leaf is (label, count,
+    size), a test is (word, label, count, size, true shape, false shape)."""
+    rows, stack = [], [(shape, -1, False)]
+    while stack:
+        node, parent, branch = stack.pop()
+        word, (label, count, size) = (None, node) if len(node) == 3 else (node[0], node[1:4])
+        index = dtree._add(rows, parent, branch, [word, -1, -1, label, count, size])
+        if word is not None:
+            stack += [(node[5], index, False), (node[4], index, True)]
+    return DecisionTree(question_id, *map(tuple, zip(*rows)), config, trained_at)
+
+
+@given(_TREE_SHAPES, _AWKWARD_TEXT, _AWKWARD_TEXT, _MIN_GAINS, _LABELS)
+def test_serialize_writes_the_bytes_of_json_dumps(
+    shape, question_id, trained_at, min_gain, tie
+):
+    config = TrainConfig(min_gain=min_gain, leaf_tie_label=tie)
+    tree = _tree_from_shape(shape, question_id, config, trained_at)
+    document = {
+        "question_id": question_id,
+        "trained_at": trained_at,
+        "config": {"min_gain": min_gain, "leaf_tie_label": tie.value},
+        "root": _root(tree),
+    }
+    assert serialize_tree(tree) == json.dumps(document, indent=2) + "\n"
+
+
+def test_serialize_writes_only_chains_json_can_read_back():
+    # Depths from well inside json's read limit to past it, which is near the
+    # recursion limit (here, not on CPython 3.12 and later, where json reads
+    # deeper); a refused depth is never shallower than a written one.
+    limit = sys.getrecursionlimit()
+    outcomes = []
+    for depth in range(limit - 300, limit + 20, 10):
+        tree = _chain_tree(depth)
+        try:
+            text = serialize_tree(tree)
+        except TreeFormatError as exc:
+            assert str(exc) == "tree nested too deep"
+            outcomes.append(False)
+            continue
+        assert deserialize_tree(text) == tree
+        outcomes.append(True)
+    assert outcomes == sorted(outcomes, reverse=True)
+    assert outcomes[0] and not outcomes[-1]
 
 
 def test_reference_tree_document_structure(example_tree, example_tree_path):
