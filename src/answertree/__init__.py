@@ -46,7 +46,6 @@ from .evaluation import (
 )
 from .textprep import (
     DEFAULT_STOPWORDS,
-    PreprocessConfig,
     UniqueWordCounts,
     preprocess,
     unique_word_counts,

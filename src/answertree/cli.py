@@ -52,15 +52,14 @@ def _read_text(path: Path, error: type[Exception] = corpus.CorpusError) -> str:
         ) from None
 
 
-def _load_prep(stopwords_path: str | None) -> textprep.PreprocessConfig:
+def _load_prep(stopwords_path: str | None) -> frozenset[str]:
     if stopwords_path is None:
-        return textprep.DEFAULT_CONFIG
+        return textprep.DEFAULT_STOPWORDS
     content = _read_text(Path(stopwords_path))
     try:
-        words = textprep.parse_stopword_file(content)
+        return textprep.parse_stopword_file(content)
     except ValueError as exc:
         raise corpus.CorpusError(f"{stopwords_path}: {exc}") from None
-    return textprep.PreprocessConfig(stopwords=words)
 
 
 def _load_records(path_str: str) -> list[corpus.AnswerRecord]:
@@ -88,24 +87,24 @@ def _trained_at() -> str:
 
 
 def _per_question(
-    command: str, answers: str, prep: textprep.PreprocessConfig, work: Callable[..., _R]
+    command: str, answers: str, stopwords: frozenset[str], work: Callable[..., _R]
 ) -> list[_R]:
     """``work`` on each question's dataset, in question order. A question is
-    one job, dealt by its record count, that validates and ingests its records
-    and runs ``work``; once all are done, every failed validation is reported."""
+    one job that validates and ingests its records and runs ``work``; once
+    all are done, every failed validation is reported."""
     groups = list(corpus.group_records(_load_records(answers)).values())
 
     def job(group: list[corpus.AnswerRecord]) -> tuple[bool, _R | str]:
-        report = corpus.validate_dataset(group, prep)
+        report = corpus.validate_dataset(group, stopwords)
         if not report.ok:
             return False, report.render()
         try:
-            dataset = corpus.build_question_dataset(group, report.question_id, prep)
+            dataset = corpus.build_question_dataset(group, report.question_id, stopwords)
         except corpus.EmptyDatasetError as exc:
             return False, str(exc)
         return True, work(dataset)
 
-    results = _fan_out(command, job, groups, [len(group) for group in groups])
+    results = _fan_out(command, job, groups)
     failures = [value for ok, value in results if not ok]
     if failures:
         print("\n".join(failures), file=sys.stderr)
@@ -115,7 +114,7 @@ def _per_question(
 
 def cmd_train(args: argparse.Namespace) -> int:
     trained_at = _trained_at()
-    prep = _load_prep(args.stopwords)
+    stopwords = _load_prep(args.stopwords)
     config = dtree.TrainConfig(min_gain=args.min_gain)
 
     def train(dataset: corpus.QuestionDataset) -> tuple[str, str | None, str]:
@@ -133,12 +132,19 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"vocabulary {counts.all_words}"
         )
 
-    outputs = _per_question("train", args.answers, prep, train)
-    # Each id names a file in --out; check them all before writing any.
+    outputs = _per_question("train", args.answers, stopwords, train)
+    # Each id names a file in --out; check them all before writing any. The
+    # longest name written is _atomic_write's temporary one, ".{id}.tree.json."
+    # and eight characters, and one path component holds at most 255 bytes.
     for question_id, _, _ in outputs:
+        name = f".{question_id}.tree.json.XXXXXXXX".encode("utf-8", "surrogatepass")
         if any(c in question_id for c in "/\\\0") or question_id in ("", ".", ".."):
-            message = f"question id {question_id!r} is not a safe file name"
-            raise corpus.CorpusError(message)
+            problem = "is not a safe file name"
+        elif len(name) > 255:
+            problem = "is too long for a file name"
+        else:
+            continue
+        raise corpus.CorpusError(f"question id {question_id!r} {problem}")
     # Every tree is built first, so a question that fails leaves no output.
     for _, text, line in outputs:
         if text is None:
@@ -178,7 +184,7 @@ def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
-    prep = _load_prep(args.stopwords)
+    stopwords = _load_prep(args.stopwords)
     trees = _load_trees(args.trees)
     path = Path(args.answers)
     pairs = corpus.parse_ungraded_file(_read_text(path), _file_format(path))
@@ -213,7 +219,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
                 # A blank exam answer earns zero; blanks never reach the trees.
                 tail = blank_tail
             else:
-                words = textprep.preprocess(answer, prep)
+                words = textprep.preprocess(answer, stopwords)
                 result = dtree.classify(trees[question_id], words)
                 tail = tails.get(id(result))
                 if tail is None:
@@ -262,28 +268,21 @@ def _run_share(
     return results
 
 
-def _fan_out(
-    command: str, work: Callable[[_J], _R], jobs: list[_J], costs: list[int]
-) -> list[_R]:
-    """``work`` on every job, on one worker per CPU, dealing the costliest
-    first to the least-loaded worker, ties to the lower job and worker index.
-    The parent runs the first share itself; each other share runs in a forked
-    child, which pickles its results (or its exception) into a pipe. Results
-    come back in job order, so the output does not depend on the worker
-    count. With one worker nothing is forked."""
+def _fan_out(command: str, work: Callable[[_J], _R], jobs: list[_J]) -> list[_R]:
+    """``work`` on every job, on one worker per CPU: job ``j`` goes to worker
+    ``j % workers``. The parent runs worker 0's share itself; each other
+    share runs in a forked child, which pickles its results (or its
+    exception) into a pipe. Results come back in job order, so the output
+    does not depend on the worker count. With one worker nothing is forked."""
     workers = _worker_count(len(jobs))
-    shares: list[list[int]] = [[] for _ in range(workers)]
-    for job in sorted(range(len(jobs)), key=lambda job: -costs[job]):
-        min(shares, key=lambda share: sum(costs[j] for j in share)).append(job)
-    dealt = [[jobs[j] for j in share] for share in shares]
-    results: dict[int, _R] = {}
+    results: list = [None] * len(jobs)
     parent = os.getpid()
     children = []  # (pid, read end of its pipe) per unreaped child, in worker order
     if workers > 1:  # here: one worker needs neither
         import pickle
         import signal
     try:
-        for share in dealt[1:]:
+        for worker in range(1, workers):
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:  # the child: it must never return into the caller
@@ -293,7 +292,7 @@ def _fan_out(
                     for _, pipe in children:
                         pipe.close()
                     try:
-                        payload = (True, _run_share(work, share, parent))
+                        payload = (True, _run_share(work, jobs[worker::workers], parent))
                     except Exception as exc:
                         payload = (False, exc)
                     with open(write_end, "wb") as pipe:
@@ -303,7 +302,7 @@ def _fan_out(
                     os._exit(status)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        results.update(zip(shares[0], _run_share(work, dealt[0])))
+        results[::workers] = _run_share(work, jobs[::workers])
         for worker in range(1, workers):
             pid, pipe = children[0]
             with pipe:
@@ -319,17 +318,17 @@ def _fan_out(
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results.update(zip(shares[worker], value))
+            results[worker::workers] = value
     finally:
         for pid, pipe in children:  # left running by an error
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [results[job] for job in range(len(jobs))]
+    return results
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    prep = _load_prep(args.stopwords)
+    stopwords = _load_prep(args.stopwords)
     config = dtree.TrainConfig(min_gain=args.min_gain)
 
     def evaluate(dataset: corpus.QuestionDataset) -> evaluation.QuestionRow | str:
@@ -346,7 +345,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return evaluation.make_row(accuracy, textprep.unique_word_counts(dataset))
 
     rows = []
-    for result in _per_question("evaluate", args.answers, prep, evaluate):
+    for result in _per_question("evaluate", args.answers, stopwords, evaluate):
         if isinstance(result, str):
             print(result, file=sys.stderr)
         else:
@@ -383,9 +382,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    prep = _load_prep(args.stopwords)
+    stopwords = _load_prep(args.stopwords)
     tree = _load_tree(Path(args.tree))
-    result = dtree.classify(tree, textprep.preprocess(args.answer, prep))
+    result = dtree.classify(tree, textprep.preprocess(args.answer, stopwords))
     print(dtree.explain(result))
     return 0
 

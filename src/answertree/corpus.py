@@ -15,7 +15,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Callable, NamedTuple, TypeVar
 
-from .textprep import DEFAULT_CONFIG, PreprocessConfig, preprocess
+from .textprep import DEFAULT_STOPWORDS, preprocess
 
 CSV_HEADER = ["question_id", "answer", "label"]
 UNGRADED_CSV_HEADER = ["question_id", "answer"]
@@ -268,7 +268,7 @@ def _dedup_non_blank(records: list[AnswerRecord]) -> tuple[dict[str, Label], lis
 def build_question_dataset(
     records: list[AnswerRecord],
     question_id: str,
-    prep: PreprocessConfig = DEFAULT_CONFIG,
+    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> QuestionDataset:
     """Build the training dataset for one question.
 
@@ -289,20 +289,20 @@ def build_question_dataset(
             f"question {question_id!r}: no non-blank answers to train on"
         )
     samples = tuple(
-        Sample(features=preprocess(text, prep), raw_text=text, label=label)
+        Sample(features=preprocess(text, stopwords), raw_text=text, label=label)
         for text, label in seen.items()
     )
     return QuestionDataset(question_id=question_id, samples=samples)
 
 
 def validate_dataset(
-    records: list[AnswerRecord], prep: PreprocessConfig = DEFAULT_CONFIG
+    records: list[AnswerRecord], stopwords: frozenset[str] = DEFAULT_STOPWORDS
 ) -> ValidationReport:
     """Report label conflicts and stopword-only answers without raising."""
     question_id = records[0].question_id if records else ""
     seen, conflicts = _dedup_non_blank(records)
     empty = tuple(
-        text for text in seen if not preprocess(text, prep)
+        text for text in seen if not preprocess(text, stopwords)
     )
     return ValidationReport(
         question_id=question_id,

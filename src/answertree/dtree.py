@@ -29,7 +29,6 @@ class TreeFormatError(Exception):
 
 class TrainConfig(NamedTuple):
     min_gain: float = 0.0
-    leaf_tie_label: Label = Label.INCORRECT
 
 
 class _TreeFields(NamedTuple):
@@ -278,14 +277,6 @@ def select_best_rule(
     )
 
 
-def _majority(correct: int, incorrect: int, config: TrainConfig) -> tuple[Label, int]:
-    if correct > incorrect:
-        return Label.CORRECT, correct
-    if incorrect > correct:
-        return Label.INCORRECT, incorrect
-    return config.leaf_tie_label, correct
-
-
 def build_tree(
     dataset: QuestionDataset,
     config: TrainConfig = TrainConfig(),
@@ -313,7 +304,10 @@ def build_tree(
         size = mask.bit_count()
         correct = (mask & correct_mask).bit_count()
         incorrect = size - correct
-        label, count = _majority(correct, incorrect, config)
+        if correct > incorrect:
+            label, count = Label.CORRECT, correct
+        else:  # a tie is incorrect
+            label, count = Label.INCORRECT, incorrect
         word = None
         if correct and incorrect:
             node = _Node(mask, word_masks, correct_mask, [])
@@ -406,6 +400,20 @@ def _descend(levels: int) -> int:
     return levels and _descend(levels - 1)
 
 
+def _check_depth(levels: int) -> None:
+    """Raise TreeFormatError for a tree ``levels`` nodes deep that json could
+    not read back under the recursion limit on CPython 3.11 and earlier.
+    The writer and the reader both apply it, so a file one Python version
+    writes or loads, every other one does too."""
+    # Only a document 100 or more levels deep nears the limit. It must fit
+    # under it on every version, with ten frames to spare for a reader's calls.
+    if levels >= 100:
+        try:
+            _descend(levels + 10)
+        except RecursionError:
+            raise TreeFormatError("tree nested too deep") from None
+
+
 def serialize_tree(tree: DecisionTree) -> str:
     """The tree as a v1 document: the text of ``json.dumps(document,
     indent=2)`` and a newline, written in one pass over the preorder arrays.
@@ -418,7 +426,7 @@ def serialize_tree(tree: DecisionTree) -> str:
         '{\n  "question_id": ', quote(tree.question_id),
         ',\n  "trained_at": ', quote(tree.trained_at),
         ',\n  "config": {\n    "min_gain": ', json.dumps(tree.config.min_gain),
-        ',\n    "leaf_tie_label": ', label_text[tree.config.leaf_tie_label],
+        ',\n    "leaf_tie_label": "incorrect"',
         '\n  },\n  "root": ',
     ]
     # Per node depth: the line break and indent before each of its keys, and
@@ -444,13 +452,7 @@ def serialize_tree(tree: DecisionTree) -> str:
             parts.append(f',{keys[parent]}"false": ')
             depth = parent + 1
     parts += [*ends[:depth][::-1], "\n}\n"]
-    # Only a document 100 or more levels deep nears the limit. It must fit
-    # under it on every version, with ten frames to spare for a reader's calls.
-    if len(keys) >= 100:
-        try:
-            _descend(len(keys) + 10)
-        except RecursionError:
-            raise TreeFormatError("tree nested too deep") from None
+    _check_depth(len(keys))
     return "".join(parts)
 
 
@@ -471,25 +473,27 @@ def deserialize_tree(text: str) -> DecisionTree:
     config_obj = document.get("config", {})
     if not isinstance(config_obj, dict):
         raise TreeFormatError("config must be an object")
-    try:
-        tie_label = Label(config_obj.get("leaf_tie_label", "incorrect"))
-    except ValueError:
-        raise TreeFormatError(
-            f"unknown leaf_tie_label {config_obj.get('leaf_tie_label')!r}"
-        ) from None
+    # Every tree breaks ties as incorrect; files naming either label load.
+    tie_label = config_obj.get("leaf_tie_label", "incorrect")
+    if tie_label not in ("correct", "incorrect"):
+        raise TreeFormatError(f"unknown leaf_tie_label {tie_label!r}")
     min_gain = config_obj.get("min_gain", 0.0)
     number = _is_int(min_gain) or isinstance(min_gain, float)
     # Checked against the largest float, not inf, so a huge integer is
     # rejected rather than overflowing float().
     if not (number and 0.0 <= min_gain <= sys.float_info.max):
         raise TreeFormatError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
-    config = TrainConfig(min_gain=float(min_gain), leaf_tie_label=tie_label)
+    config = TrainConfig(min_gain=float(min_gain))
     rows: list[list] = []
     # (node object, its path for messages, index of the parent, whether it
-    # is the true child), popped in preorder
-    stack: list[tuple[object, str, int, bool]] = [(document["root"], "root", -1, False)]
+    # is the true child, its level), popped in preorder
+    stack: list[tuple[object, str, int, bool, int]] = [
+        (document["root"], "root", -1, False, 1)
+    ]
+    levels = 0
     while stack:
-        obj, where, parent, branch = stack.pop()
+        obj, where, parent, branch, level = stack.pop()
+        levels = max(levels, level)
         if not isinstance(obj, dict):
             raise TreeFormatError(f"{where}: node must be an object")
         try:
@@ -517,12 +521,13 @@ def deserialize_tree(text: str) -> DecisionTree:
                 raise TreeFormatError(f"{where}: internal node needs both children")
         index = _add(rows, parent, branch, [word, -1, -1, label, count, size])
         if word is not None:
-            stack.append((obj["false"], f"{where}.false", index, False))
-            stack.append((obj["true"], f"{where}.true", index, True))
+            stack.append((obj["false"], f"{where}.false", index, False, level + 1))
+            stack.append((obj["true"], f"{where}.true", index, True, level + 1))
     question_id = document.get("question_id")
     if not (isinstance(question_id, str) and question_id):
         raise TreeFormatError("question_id must be a non-empty string")
     trained_at = document.get("trained_at", "")
     if not isinstance(trained_at, str):
         raise TreeFormatError("trained_at must be a string")
+    _check_depth(levels)
     return _tree(question_id, rows, config, trained_at)

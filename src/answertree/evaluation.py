@@ -198,15 +198,16 @@ def pearson(xs: list[float], ys: list[float]) -> CorrelationResult:
     # with ulp-sized deviations and a spurious nonzero sum of squares.
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("correlation is undefined for a constant series")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
+    # math.fsum sums exactly, where sum's rounding differs by Python version.
+    mean_x = math.fsum(xs) / n
+    mean_y = math.fsum(ys) / n
     dx = [x - mean_x for x in xs]
     dy = [y - mean_y for y in ys]
-    ssx = sum(d * d for d in dx)
-    ssy = sum(d * d for d in dy)
+    ssx = math.fsum(d * d for d in dx)
+    ssy = math.fsum(d * d for d in dy)
     if ssx == 0.0 or ssy == 0.0:
         raise ValueError("correlation is undefined: deviations underflow to zero")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
     r = max(-1.0, min(1.0, r))
     df = n - 2
     if 1.0 - r * r < 1e-15:
@@ -232,7 +233,8 @@ class QuestionRow(NamedTuple):
 class ReportSummary(NamedTuple):
     question_count: int
     mean_accuracy: float
-    band_mean_accuracy: float | None  # questions with grade in GRADE_BAND
+    band_mean_accuracy: float | None  # questions with grade in grade_band
+    grade_band: tuple[float, float]
     questions_below_90: int
     questions_below_80: int
 
@@ -274,8 +276,9 @@ def build_report(rows: list[QuestionRow]) -> EvaluationReport:
     ]
     summary = ReportSummary(
         question_count=len(ordered),
-        mean_accuracy=sum(accuracies) / len(accuracies),
-        band_mean_accuracy=sum(in_band) / len(in_band) if in_band else None,
+        mean_accuracy=math.fsum(accuracies) / len(accuracies),
+        band_mean_accuracy=math.fsum(in_band) / len(in_band) if in_band else None,
+        grade_band=GRADE_BAND,
         questions_below_90=sum(1 for a in accuracies if a < 0.90),
         questions_below_80=sum(1 for a in accuracies if a < 0.80),
     )
@@ -313,32 +316,12 @@ def report_to_csv(report: EvaluationReport) -> str:
 
 
 def report_to_json(report: EvaluationReport) -> str:
+    # The CSV header names QuestionRow's fields in order, accuracy as dt_accuracy.
     document = {
-        "rows": [
-            {
-                "question_id": row.question_id,
-                "average_grade": row.average_grade,
-                "dt_accuracy": row.accuracy,
-                "unique_all": row.unique_all,
-                "unique_correct": row.unique_correct,
-                "unique_incorrect": row.unique_incorrect,
-            }
-            for row in report.rows
-        ],
-        "summary": {
-            "question_count": report.summary.question_count,
-            "mean_accuracy": report.summary.mean_accuracy,
-            "band_mean_accuracy": report.summary.band_mean_accuracy,
-            "grade_band": list(GRADE_BAND),
-            "questions_below_90": report.summary.questions_below_90,
-            "questions_below_80": report.summary.questions_below_80,
-        },
+        "rows": [dict(zip(REPORT_CSV_HEADER, row)) for row in report.rows],
+        "summary": report.summary._asdict(),
         "correlations": {
-            name: (
-                {"r": result.r, "p": result.p, "n": result.n}
-                if result is not None
-                else None
-            )
+            name: result._asdict() if result is not None else None
             for name, result in report.correlations.items()
         },
     }

@@ -25,17 +25,10 @@ DEFAULT_STOPWORDS = frozenset(
 _WORD_LOWER = re.compile(r"[0-9a-z]+")
 
 
-class PreprocessConfig(NamedTuple):
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS
-
-
-DEFAULT_CONFIG = PreprocessConfig()
-
-
-def preprocess(text: str, config: PreprocessConfig = DEFAULT_CONFIG) -> frozenset[str]:
+def preprocess(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> frozenset[str]:
     """Full pipeline: lowercase, split on non-alphanumeric runs, collapse to a
     presence-only word set (in-answer frequency is discarded), drop stopwords."""
-    return frozenset(_WORD_LOWER.findall(text.lower())) - config.stopwords
+    return frozenset(_WORD_LOWER.findall(text.lower())) - stopwords
 
 
 def parse_stopword_file(content: str) -> frozenset[str]:

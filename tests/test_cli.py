@@ -76,7 +76,10 @@ def test_train_is_byte_identical_across_runs(tmp_path, reproducible_clock):
     assert (first / "q2.tree.json").read_bytes() == (second / "q2.tree.json").read_bytes()
 
 
-@pytest.mark.parametrize("question_id", ["../escape", "..", ".", "a/b", "a\\b", "a\0b"])
+# A 236-byte id makes a 256-byte temporary file name, one past the limit.
+@pytest.mark.parametrize(
+    "question_id", ["../escape", "..", ".", "a/b", "a\\b", "a\0b", "q" * 236]
+)
 def test_train_rejects_unsafe_question_ids(tmp_path, capsys, question_id):
     records = [
         {"question_id": "q1", "answer": "alpha", "label": "correct"},
@@ -89,10 +92,21 @@ def test_train_rejects_unsafe_question_ids(tmp_path, capsys, question_id):
     answers = write(work / "answers.json", json.dumps(records))
     out = work / "trees"
     assert main(["train", "--answers", answers, "--out", str(out)]) == 1
-    (line,) = capsys.readouterr().err.splitlines()
-    assert "not a safe file name" in line
+    captured = capsys.readouterr()
+    problem = "too long for a" if len(question_id) > 200 else "not a safe"
+    assert captured.out == ""
+    assert captured.err == f"question id {question_id!r} is {problem} file name\n"
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["answers.json", "work"]
+
+
+def test_train_writes_a_question_id_of_the_longest_file_name(tmp_path):
+    question_id = "q" * 235  # its temporary file name is 255 bytes
+    answers = write(
+        tmp_path / "answers.csv", f"question_id,answer,label\n{question_id},alpha,correct\n"
+    )
+    assert main(["train", "--answers", answers, "--out", str(tmp_path / "out")]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [f"{question_id}.tree.json"]
 
 
 @pytest.mark.parametrize("epoch", ["abc", "99999999999999999", "1e9", "-99999999999"])
@@ -438,11 +452,12 @@ def _chain_document(depth):
     return '{"question_id": "Q52", "config": {"min_gain": 0.0}, "root": ' + root + "}\n"
 
 
+@pytest.mark.parametrize("depth", [1000, 3000])
 @pytest.mark.parametrize("command", ["grade", "explain"])
-def test_deeply_nested_tree_file_is_a_one_line_error(tmp_path, capsys, command):
+def test_deeply_nested_tree_file_is_a_one_line_error(tmp_path, capsys, command, depth):
     trees = tmp_path / "trees"
     trees.mkdir()
-    tree = write(trees / "Q52.tree.json", _chain_document(3000))
+    tree = write(trees / "Q52.tree.json", _chain_document(depth))
     ungraded = write(tmp_path / "new.csv", "question_id,answer\nQ52,w1\n")
     out = tmp_path / "graded.csv"
     if command == "grade":
@@ -801,8 +816,8 @@ def test_evaluate_error_in_a_worker_is_one_line_exit_1(tmp_path, capsys, monkeyp
     def fail():
         raise evaluation.FoldError("fold 3: empty training split")
 
-    # Jobs are dealt by record count. Worker 0, the parent, takes q2, the
-    # costliest job; q4, the next, goes to worker 1.
+    # Job j goes to worker j % 2: worker 0, the parent, takes q1, q3 and q5,
+    # and worker 1 q2, q4 and q6.
     _fail_in(monkeypatch, "q4", fail)
     _assert_evaluate_fails_alone(tmp_path, capsys, "fold 3: empty training split")
 
@@ -813,32 +828,33 @@ def test_evaluate_reaps_workers_when_its_own_share_fails(tmp_path, capsys, monke
     def fail():
         raise evaluation.FoldError("fold 0: empty training split")
 
-    _fail_in(monkeypatch, "q2", fail, in_child=False)  # the parent's only job
+    _fail_in(monkeypatch, "q4", fail, in_child=False)  # the parent's last job
     _assert_evaluate_fails_alone(tmp_path, capsys, "fold 0: empty training split")
 
 
-def test_evaluate_parent_takes_the_costliest_question(tmp_path, capsys, monkeypatch):
-    # A job's cost is its question's record count.
-    groups = corpus.group_records(
-        corpus.parse_answer_file(_questions_of_unequal_cost(), "csv")
-    )
-    costs = {question_id: len(group) for question_id, group in groups.items()}
-    costliest = max(costs, key=costs.get)
-    assert costliest == "q2"  # the job the parent fails on above
+def test_evaluate_parent_runs_every_workers_th_question(tmp_path, monkeypatch):
+    # With W workers, the parent runs jobs 0, W, 2W, ... in question order.
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
+    test_pid = os.getpid()
+    cross_validate = evaluation.cross_validate
+    in_parent = []
 
-    def fail():
-        raise evaluation.FoldError("fold 1: empty training split")
+    def recording(dataset, config, plan):
+        if os.getpid() == test_pid:
+            in_parent.append(dataset.question_id)
+        return cross_validate(dataset, config, plan)
 
-    _fail_in(monkeypatch, costliest, fail, in_child=False)
-    for cpus in range(1, 6):
+    monkeypatch.setattr(evaluation, "cross_validate", recording)
+    for cpus in range(1, 8):
         _cpus(monkeypatch, cpus)
-        _assert_evaluate_fails_alone(tmp_path, capsys, "fold 1: empty training split")
+        in_parent.clear()
+        assert main(["evaluate", "--answers", answers, "--out", str(tmp_path / "out")]) == 0
+        assert in_parent == [f"q{n}" for n in range(1, 7)][::cpus]
 
 
 def test_evaluate_worker_that_dies_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
     _cpus(monkeypatch, 3)
-    # By record count, worker 1 takes q4 and q1 (80 records) and worker 2 q6,
-    # q3 and q5 (87).
+    # Job j goes to worker j % 3: worker 2 takes q3 and q6.
     _fail_in(monkeypatch, "q3", lambda: os._exit(3))
     _assert_evaluate_fails_alone(
         tmp_path, capsys, "evaluate worker 2 ended with exit status 3 before sending its results"
@@ -920,8 +936,8 @@ def test_train_writes_a_chain_only_if_it_reads_back(tmp_path, capsys):
         assert (code, err, exists) == (1, "question 'q1': tree nested too deep\n", False)
 
 
-# q0 has the most records, so it is dealt to the parent, and q1, with the
-# next most, to worker 1.
+# Two workers: q0, the first question, is dealt to the parent, and q1 to
+# worker 1.
 _TWO_LOADS = "question_id,answer,label\n" + "q0,alpha,correct\nq0,beta,incorrect\n" * 200
 
 
@@ -943,8 +959,8 @@ def _assert_train_fails_alike(tmp_path, capsys, monkeypatch, answers_text, cpus,
 def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
     tmp_path, capsys, monkeypatch
 ):
-    # Dealt by record count to three workers: q2 to the parent, q3 and q6 to
-    # worker 2 and q7 to worker 1.
+    # Dealt by position to three workers: q7 to the parent, q2 to worker 1,
+    # and q3 and q6 to worker 2.
     conflict = "{q},dupe,correct\n{q},dupe,incorrect\n"
     text = (
         _questions_of_unequal_cost()

@@ -283,12 +283,10 @@ def test_build_tree_resubstitution_on_reference_corpus():
     assert all(classify(tree, s.features).label is s.label for s in data.samples)
 
 
-def test_build_tree_tie_node_gets_configured_label():
+def test_build_tree_tie_node_is_incorrect():
     data = dataset([("alpha shared", C), ("beta shared", I)])
-    root = _root(build_tree(data, TrainConfig(leaf_tie_label=Label.CORRECT)))
-    assert root["label"] == "correct"
-    assert root["count"] / root["size"] == 0.5
-    assert _root(build_tree(data))["label"] == "incorrect"
+    root = _root(build_tree(data))
+    assert (root["label"], root["count"], root["size"]) == ("incorrect", 1, 2)
 
 
 def test_build_tree_min_gain_prunes():
@@ -362,7 +360,7 @@ def _reference_grow(samples, path_words, config):
     if correct != incorrect:
         label, count = (C, correct) if correct > incorrect else (I, incorrect)
     else:
-        label, count = config.leaf_tie_label, correct
+        label, count = I, correct
     leaf = {"label": label.value, "count": count, "size": len(samples)}
     if correct == 0 or incorrect == 0:
         return leaf
@@ -389,7 +387,7 @@ def _reference_grow(samples, path_words, config):
 def _reference_tree(question_id, samples, config):
     document = {
         "question_id": question_id,
-        "config": {"min_gain": config.min_gain, "leaf_tie_label": config.leaf_tie_label.value},
+        "config": {"min_gain": config.min_gain, "leaf_tie_label": "incorrect"},
         "root": _reference_grow(samples, frozenset(), config),
     }
     return deserialize_tree(json.dumps(document))
@@ -429,10 +427,7 @@ def _random_case(rng, case, max_samples=40):
         label = C if rng.random() < 0.5 else I
         samples.append(Sample(features, f"{case}-{i}", label))
     data = QuestionDataset(question_id=f"q{case}", samples=tuple(samples))
-    config = TrainConfig(
-        min_gain=rng.choice([0.0, 0.0, 0.05, 0.2]),
-        leaf_tie_label=rng.choice([C, I]),
-    )
+    config = TrainConfig(min_gain=rng.choice([0.0, 0.0, 0.05, 0.2]))
     return data, config
 
 
@@ -962,16 +957,14 @@ def _tree_from_shape(shape, question_id, config, trained_at):
     return DecisionTree(question_id, *map(tuple, zip(*rows)), config, trained_at)
 
 
-@given(_TREE_SHAPES, _AWKWARD_TEXT, _AWKWARD_TEXT, _MIN_GAINS, _LABELS)
-def test_serialize_writes_the_bytes_of_json_dumps(
-    shape, question_id, trained_at, min_gain, tie
-):
-    config = TrainConfig(min_gain=min_gain, leaf_tie_label=tie)
+@given(_TREE_SHAPES, _AWKWARD_TEXT, _AWKWARD_TEXT, _MIN_GAINS)
+def test_serialize_writes_the_bytes_of_json_dumps(shape, question_id, trained_at, min_gain):
+    config = TrainConfig(min_gain=min_gain)
     tree = _tree_from_shape(shape, question_id, config, trained_at)
     document = {
         "question_id": question_id,
         "trained_at": trained_at,
-        "config": {"min_gain": min_gain, "leaf_tie_label": tie.value},
+        "config": {"min_gain": min_gain, "leaf_tie_label": "incorrect"},
         "root": _root(tree),
     }
     assert serialize_tree(tree) == json.dumps(document, indent=2) + "\n"
@@ -1065,6 +1058,24 @@ def test_deserialize_rejects_garbage():
 
 
 MISSING = object()
+
+
+@pytest.mark.parametrize("tie", [MISSING, "correct", "incorrect", "maybe", ["x"]])
+def test_deserialize_accepts_either_leaf_tie_label(example_tree_path, tie):
+    # Trees always break ties as incorrect; a file naming either label still
+    # loads, and the same tree whichever it names.
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    if tie is MISSING:
+        del document["config"]["leaf_tie_label"]
+    else:
+        document["config"]["leaf_tie_label"] = tie
+    if tie in (MISSING, "correct", "incorrect"):
+        tree = deserialize_tree(json.dumps(document))
+        assert tree == deserialize_tree(example_tree_path.read_text(encoding="utf-8"))
+        return
+    with pytest.raises(TreeFormatError) as raised:
+        deserialize_tree(json.dumps(document))
+    assert str(raised.value) == f"unknown leaf_tie_label {tie!r}"
 
 
 @pytest.mark.parametrize("trained_at", [None, ["x"], 7, {}])

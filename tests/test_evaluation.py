@@ -287,6 +287,12 @@ def test_build_report_no_band_questions():
     assert report.summary.band_mean_accuracy is None
 
 
+def test_build_report_means_do_not_depend_on_the_python_version():
+    # sum() before Python 3.12 rounds at each step: ten 0.1s make 0.9999999999999999.
+    summary = build_report([row(f"Q{n}", 0.5, 0.1) for n in range(10)]).summary
+    assert summary.mean_accuracy == summary.band_mean_accuracy == 0.1
+
+
 def test_build_report_rejects_empty():
     with pytest.raises(ValueError, match="zero rows"):
         build_report([])
@@ -309,11 +315,29 @@ def test_report_json_rendering():
         [row("Q1", 0.5, 0.85), row("Q2", 0.9, 1.0), row("Q3", 0.3, 0.95)]
     )
     document = json.loads(report_to_json(report))
+    assert list(document) == ["rows", "summary", "correlations"]
+    assert list(document["rows"][0].items()) == [
+        ("question_id", "Q1"),
+        ("average_grade", 0.5),
+        ("dt_accuracy", 0.85),
+        ("unique_all", 10),
+        ("unique_correct", 6),
+        ("unique_incorrect", 6),
+    ]
     assert [r["question_id"] for r in document["rows"]] == ["Q1", "Q2", "Q3"]
-    assert document["summary"]["question_count"] == 3
-    assert document["summary"]["grade_band"] == [0.40, 0.60]
+    assert list(document["summary"].items()) == [
+        ("question_count", 3),
+        ("mean_accuracy", report.summary.mean_accuracy),
+        ("band_mean_accuracy", 0.85),
+        ("grade_band", [0.40, 0.60]),
+        ("questions_below_90", 1),
+        ("questions_below_80", 0),
+    ]
     assert document["correlations"]["unique_all"] is None
-    assert document["correlations"]["average_grade"]["n"] == 3
+    result = report.correlations["average_grade"]
+    assert list(document["correlations"]["average_grade"].items()) == [
+        ("r", result.r), ("p", result.p), ("n", 3)
+    ]
 
 
 def test_rows_from_fixture_csv_round_trip():

@@ -35,7 +35,6 @@ def _records():
     ]
     report = evaluation.build_report(rows)
     return [
-        textprep.DEFAULT_CONFIG,
         textprep.unique_word_counts(data),
         data.samples[0],
         data.index,
@@ -69,7 +68,7 @@ def _record_types():
 
 def test_every_record_type_is_covered():
     assert {type(record) for record in _records()} == _record_types()
-    assert len(_record_types()) == 17
+    assert len(_record_types()) == 16
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

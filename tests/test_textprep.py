@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from answertree.corpus import AnswerRecord, Label, build_question_dataset
 from answertree.textprep import (
     DEFAULT_STOPWORDS,
-    PreprocessConfig,
     parse_stopword_file,
     preprocess,
     unique_word_counts,
@@ -24,7 +23,7 @@ def test_default_stopword_list_is_exactly_the_31_words():
 
 
 def test_preprocess_lowercases_and_splits_on_non_alphanumeric():
-    no_stopwords = PreprocessConfig(stopwords=frozenset())
+    no_stopwords = frozenset()
     assert preprocess("Papillary Muscles", no_stopwords) == {"papillary", "muscles"}
     assert preprocess("keep av valves closed", no_stopwords) == {"keep", "av", "valves", "closed"}
     assert preprocess("", no_stopwords) == frozenset()
@@ -38,8 +37,7 @@ def test_preprocess_removes_stopwords():
     assert preprocess("the papillary muscle") == {"papillary", "muscle"}
     assert preprocess("a an of") == frozenset()
     assert preprocess("subvalvular apparatus") == {"subvalvular", "apparatus"}
-    custom = PreprocessConfig(stopwords=frozenset({"valve"}))
-    assert preprocess("the mitral valve", custom) == {"the", "mitral"}
+    assert preprocess("the mitral valve", frozenset({"valve"})) == {"the", "mitral"}
 
 
 def test_preprocess_collapses_duplicates():
@@ -79,7 +77,7 @@ def test_preprocess_idempotent_and_never_grows(text):
     once = preprocess(text)
     assert preprocess(" ".join(once)) == once
     # The text's words that are not stopwords, and nothing more.
-    every_word = preprocess(text, PreprocessConfig(stopwords=frozenset()))
+    every_word = preprocess(text, frozenset())
     assert once == every_word - DEFAULT_STOPWORDS
 
 
