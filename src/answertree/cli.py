@@ -9,6 +9,7 @@ import argparse
 import csv
 import math
 import os
+import stat
 import sys
 import time
 from pathlib import Path
@@ -23,12 +24,32 @@ _J, _R = TypeVar("_J"), TypeVar("_R")
 
 
 def _atomic_write(path: Path, content: str) -> None:
+    """Write ``content`` as UTF-8 to the file ``path`` names. A FIFO or a
+    character device is written directly. Otherwise a temporary file beside
+    the target, through any symlink, replaces it whole; it keeps the mode
+    of the file it replaces, and a new file gets ``0o666`` less the umask,
+    as ``open`` would give it."""
     import tempfile  # here: explain writes no file
 
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(content)
+        return
+    # Follow the link chain, finite since stat found no loop; realpath would
+    # also fold "..", moving the temporary file out of the named directory.
+    while path.is_symlink():
+        path = path.parent / os.readlink(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            os.fchmod(fd, mode & 0o777)
             handle.write(content)
         os.replace(tmp_name, path)
     except BaseException:
@@ -137,7 +158,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     # longest name written is _atomic_write's temporary one, ".{id}.tree.json."
     # and eight characters, and one path component holds at most 255 bytes.
     for question_id, _, _ in outputs:
-        name = f".{question_id}.tree.json.XXXXXXXX".encode("utf-8", "surrogatepass")
+        name = f".{question_id}.tree.json.XXXXXXXX".encode("utf-8")
         if any(c in question_id for c in "/\\\0") or question_id in ("", ".", ".."):
             problem = "is not a safe file name"
         elif len(name) > 255:
@@ -342,7 +363,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             [s.label for s in dataset.samples], args.k, args.seed
         )
         accuracy = evaluation.cross_validate(dataset, config, plan)
-        return evaluation.make_row(accuracy, textprep.unique_word_counts(dataset))
+        counts = textprep.unique_word_counts(dataset)
+        return evaluation.QuestionRow(
+            dataset.question_id, accuracy.average_grade, accuracy.accuracy,
+            counts.all_words, counts.correct_words, counts.incorrect_words,
+        )
 
     rows = []
     for result in _per_question("evaluate", args.answers, stopwords, evaluate):
@@ -367,11 +392,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    content = _read_text(Path(args.fixture))
+    rows = evaluation.rows_from_fixture_csv(_read_text(Path(args.fixture)))
     try:
-        rows = evaluation.rows_from_fixture_csv(content)
         report = evaluation.build_report(rows)
-    except ValueError as exc:
+    except ValueError as exc:  # zero rows
         print(str(exc), file=sys.stderr)
         return 1
     _atomic_write(Path(args.out), evaluation.report_to_json(report))

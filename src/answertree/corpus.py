@@ -166,22 +166,24 @@ def parse_answer_file(content: str, format: str) -> list[AnswerRecord]:
     def build(row: list[str]) -> AnswerRecord:
         return AnswerRecord(row[0], row[1], Label.parse(row[2]))
 
-    return _read_answers(content, format, CSV_HEADER, build)
+    return read_rows(content, format, CSV_HEADER, build)
 
 
 def parse_ungraded_file(content: str, format: str) -> list[tuple[str, str]]:
     """Parse an ungraded answer file into (question_id, answer) pairs."""
-    return _read_answers(content, format, UNGRADED_CSV_HEADER, tuple)
+    return read_rows(content, format, UNGRADED_CSV_HEADER, tuple)
 
 
-def _read_answers(
+def read_rows(
     content: str, format: str, columns: list[str], build: Callable[[list[str]], _T]
 ) -> list[_T]:
-    """Read an answer file whose fields are ``columns``, ``question_id`` first.
+    """Read a table whose fields are ``columns``, ``question_id`` first: a
+    graded answer file, an ungraded batch or a per-question results fixture.
 
     A CSV file has ``columns`` as its header; blank lines are skipped but
     count in row numbers. A JSON file is an array of objects holding every
-    column as a key, each value a string or a number read as its text.
+    column as a key, each value a string or a number read as its text; a
+    string must encode as UTF-8, so a lone surrogate escape is an error.
     ``build`` makes each row's item from its fields and raises ValueError on
     a bad one. The first bad row in file order raises AnswerFileError naming it.
     """
@@ -235,8 +237,22 @@ def _reject_constant(name: str) -> float:
     raise ValueError(f"{name} is not a JSON value")
 
 
+def is_utf8(text: str) -> bool:
+    """Whether ``text`` encodes as UTF-8: JSON's ``\\ud800`` escapes load as
+    lone surrogates, which no file can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _json_text(column: str, value: object) -> str:
-    if isinstance(value, str) or type(value) in (int, float):  # bool is neither
+    if isinstance(value, str):
+        if not is_utf8(value):
+            raise ValueError(f"{column} holds a lone surrogate, which is not text")
+        return value
+    if type(value) in (int, float):  # bool is neither
         return str(value)
     kind = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
     raise ValueError(f"{column} must be text or a number, not {kind}")

@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .corpus import Label, QuestionDataset, Sample
+from .corpus import Label, QuestionDataset, Sample, is_utf8
 
 # Gains within this of the threshold count as "no split"; keeps float noise
 # from growing the tree past purity.
@@ -128,7 +128,10 @@ _ORDINALS = [
 def _ordinal(position: int) -> str:
     if position <= len(_ORDINALS):
         return _ORDINALS[position - 1]
-    return f"{position}th"
+    # 11th, 12th and 13th, in every hundred; otherwise the last digit picks.
+    last = 0 if position % 100 in (11, 12, 13) else position % 10
+    suffix = {1: "st", 2: "nd", 3: "rd"}.get(last, "th")
+    return f"{position}{suffix}"
 
 
 # A pure function of two ints, so a cached result is the same float.
@@ -517,6 +520,8 @@ def deserialize_tree(text: str) -> DecisionTree:
         else:
             if not isinstance(word, str):
                 raise TreeFormatError(f"{where}: word must be a string")
+            if not is_utf8(word):
+                raise TreeFormatError(f"{where}: word holds a lone surrogate")
             if not (has_true and has_false):
                 raise TreeFormatError(f"{where}: internal node needs both children")
         index = _add(rows, parent, branch, [word, -1, -1, label, count, size])
@@ -529,5 +534,8 @@ def deserialize_tree(text: str) -> DecisionTree:
     trained_at = document.get("trained_at", "")
     if not isinstance(trained_at, str):
         raise TreeFormatError("trained_at must be a string")
+    for name, text in (("question_id", question_id), ("trained_at", trained_at)):
+        if not is_utf8(text):
+            raise TreeFormatError(f"{name} holds a lone surrogate")
     _check_depth(levels)
     return _tree(question_id, rows, config, trained_at)

@@ -16,9 +16,8 @@ import random
 import re
 from typing import NamedTuple
 
-from .corpus import Label, QuestionDataset
+from .corpus import Label, QuestionDataset, read_rows
 from .dtree import TrainConfig, build_tree, classify
-from .textprep import UniqueWordCounts
 
 GRADE_BAND = (0.40, 0.60)
 REPORT_CSV_HEADER = [
@@ -245,17 +244,6 @@ class EvaluationReport(NamedTuple):
     correlations: dict[str, CorrelationResult | None]
 
 
-def make_row(accuracy: QuestionAccuracy, counts: UniqueWordCounts) -> QuestionRow:
-    if accuracy.question_id != counts.question_id:
-        raise ValueError(
-            f"question id mismatch: {accuracy.question_id!r} vs {counts.question_id!r}"
-        )
-    return QuestionRow(
-        accuracy.question_id, accuracy.average_grade, accuracy.accuracy,
-        counts.all_words, counts.correct_words, counts.incorrect_words,
-    )
-
-
 def _natural_key(question_id: str) -> tuple:
     return tuple(
         int(part) if part.isdigit() else part
@@ -328,47 +316,25 @@ def report_to_json(report: EvaluationReport) -> str:
     return json.dumps(document, indent=2) + "\n"
 
 
-def _fixture_number(row_num: int, column: str, text: str) -> float | int:
+def _fixture_number(column: str, text: str) -> float | int:
     """A fixture row's number cell: a finite float, or an int for word counts."""
     kind = float if column in ("average_grade", "dt_accuracy") else int
     try:
         value = kind(text)
     except ValueError:
         noun = "a number" if kind is float else "an integer"
-        raise ValueError(f"row {row_num}: {column} {text!r} is not {noun}") from None
+        raise ValueError(f"{column} {text!r} is not {noun}") from None
     # nan or inf would give meaningless correlations and invalid JSON.
     if kind is float and not math.isfinite(value):
-        raise ValueError(f"row {row_num}: {column} {text!r} is not a finite number")
+        raise ValueError(f"{column} {text!r} is not a finite number")
     return value
 
 
+def _fixture_row(row: list[str]) -> QuestionRow:
+    return QuestionRow(row[0], *map(_fixture_number, REPORT_CSV_HEADER[1:], row[1:]))
+
+
 def rows_from_fixture_csv(content: str) -> list[QuestionRow]:
-    """Read precomputed per-question results (the report CSV schema)."""
-    reader = csv.reader(io.StringIO(content))
-    # The csv module's own errors (a field over its size limit, a NUL on
-    # Python 3.10) name the line as the file counts it.
-    try:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("empty fixture file") from None
-        if [h.strip() for h in header] != REPORT_CSV_HEADER:
-            raise ValueError(
-                f"bad fixture header {header!r}, expected {','.join(REPORT_CSV_HEADER)}"
-            )
-        rows = []
-        for row_num, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if len(row) != len(REPORT_CSV_HEADER):
-                raise ValueError(
-                    f"row {row_num}: expected {len(REPORT_CSV_HEADER)} columns"
-                )
-            numbers = [
-                _fixture_number(row_num, column, text)
-                for column, text in zip(REPORT_CSV_HEADER[1:], row[1:])
-            ]
-            rows.append(QuestionRow(row[0], *numbers))
-    except csv.Error as exc:
-        raise ValueError(f"CSV line {reader.line_num}: {exc}") from None
-    return rows
+    """Read precomputed per-question results (the report CSV schema); a bad
+    row raises AnswerFileError naming it."""
+    return read_rows(content, "csv", REPORT_CSV_HEADER, _fixture_row)

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -173,6 +174,59 @@ def test_a_non_json_constant_is_a_one_line_error(
     assert sorted(p.name for p in tmp_path.rglob("*.json")) == sorted(
         ["answers.json"] + (["Q52.tree.json"] if command == "grade" else [])
     )
+
+
+@pytest.mark.parametrize("column", ["question_id", "answer"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "grade"])
+def test_a_lone_surrogate_in_an_answer_file_is_a_one_line_error(
+    tmp_path, capsys, example_tree_path, command, column
+):
+    # json.dumps escapes the surrogate as \ud800. Question "a" is good and
+    # comes first, so no output of it may be written either. A batch
+    # ignores the label key.
+    elements = [
+        {"question_id": "a", "answer": f"alpha {i}", "label": i % 2} for i in range(20)
+    ]
+    elements.append({"question_id": "b", "answer": "beta", "label": 1, column: "\ud800 b"})
+    answers = write(tmp_path / "answers.json", json.dumps(elements))
+    out = tmp_path / "out"
+    argv = [command, "--answers", answers, "--out", str(out)]
+    if command == "grade":
+        trees = tmp_path / "trees"
+        trees.mkdir()
+        shutil.copy(example_tree_path, trees / "a.tree.json")
+        argv += ["--trees", str(trees)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"element 20: {column} holds a lone surrogate, which is not text\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("word", "root: word holds a lone surrogate"),
+        ("question_id", "question_id holds a lone surrogate"),
+        ("trained_at", "trained_at holds a lone surrogate"),
+    ],
+)
+def test_a_lone_surrogate_in_a_tree_is_a_one_line_error(
+    tmp_path, capsys, example_tree_path, field, message
+):
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    (document["root"] if field == "word" else document)[field] = "\ud800"
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    tree = write(trees / "Q52.tree.json", json.dumps(document))
+    assert main(["explain", "--tree", tree, "--answer", "papillary"]) == 1
+    assert capsys.readouterr().err == f"{tree}: {message}\n"
+    batch = write(tmp_path / "new.csv", "question_id,answer\nQ52,papillary\n")
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", batch, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{tree}: {message}\n"
+    assert not out.exists()
 
 
 def test_train_conflicting_labels_fail_with_exit_1(tmp_path, capsys):
@@ -1053,7 +1107,8 @@ def test_stats_from_fixture(tmp_path, capsys, reference_tables_path):
 def test_stats_bad_fixture_is_exit_1(tmp_path, capsys):
     bad = write(tmp_path / "bad.csv", "a,b\n1,2\n")
     assert main(["stats", "--fixture", bad, "--out", str(tmp_path / "o.json")]) == 1
-    assert "bad fixture header" in capsys.readouterr().err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("bad CSV header ['a', 'b'], expected question_id,")
 
 
 def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, capsys):
@@ -1087,6 +1142,73 @@ def test_stats_bad_fixture_number_is_a_one_line_error(tmp_path, capsys, cells, m
     assert main(["stats", "--fixture", bad, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
+
+
+def _grade_into(out, tmp_path, example_tree_path):
+    """Grade a two-row batch with the example tree into ``out``; the bytes
+    the same run writes to a plain new file."""
+    trees = tmp_path / "trees"
+    if not trees.exists():
+        trees.mkdir()
+        shutil.copy(example_tree_path, trees / "Q52.tree.json")
+    batch = write(tmp_path / "new.csv", "question_id,answer\nQ52,papillary muscles\nQ52,x\n")
+    plain = tmp_path / "plain.csv"
+    for path in (plain, out):
+        argv = ["grade", "--trees", str(trees), "--answers", batch, "--out", str(path)]
+        assert main(argv) == 0
+    return plain.read_bytes()
+
+
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_out_through_a_symlink_replaces_its_target(tmp_path, example_tree_path, target_exists):
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    if target_exists:
+        target.write_text("old\n")
+    link.symlink_to("target.csv")
+    graded = _grade_into(link, tmp_path, example_tree_path)
+    assert os.readlink(link) == "target.csv"
+    assert target.read_bytes() == graded
+    # No temporary file is left beside the link or the target.
+    assert {p.name for p in tmp_path.glob(".*")} == set()
+
+
+def test_out_into_a_fifo_writes_through_it(tmp_path, example_tree_path):
+    fifo = tmp_path / "graded.fifo"
+    os.mkfifo(fifo)
+    # A reader that is already open lets the writer open the FIFO at once;
+    # the output fits in the pipe's buffer, so the write does not block.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        graded = _grade_into(fifo, tmp_path, example_tree_path)
+        assert os.read(reader, 1 << 16) == graded
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_new_outputs_get_the_mode_open_would_give(
+    tmp_path, reference_tables_path, reproducible_clock, umask
+):
+    stats, trees = tmp_path / "stats.json", tmp_path / "trees"
+    answers = write(tmp_path / "answers.csv", GRADED)
+    old = os.umask(umask)
+    try:
+        assert main(["stats", "--fixture", str(reference_tables_path), "--out", str(stats)]) == 0
+        assert main(["train", "--answers", answers, "--out", str(trees)]) == 0
+    finally:
+        os.umask(old)
+    for path in [stats, *trees.iterdir()]:
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path
+
+
+def test_an_output_that_exists_keeps_its_mode(tmp_path, reference_tables_path):
+    out = tmp_path / "stats.json"
+    out.write_text("old\n")
+    out.chmod(0o640)
+    assert main(["stats", "--fixture", str(reference_tables_path), "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert json.loads(out.read_text())["summary"]["question_count"] == 54
 
 
 def test_explain_prints_the_trace(tmp_path, capsys, example_tree_path):

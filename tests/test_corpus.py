@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from answertree.corpus import (
     CSV_HEADER,
+    UNGRADED_CSV_HEADER,
     AnswerFileError,
     AnswerRecord,
     EmptyDatasetError,
@@ -17,8 +18,10 @@ from answertree.corpus import (
     group_records,
     parse_answer_file,
     parse_ungraded_file,
+    read_rows,
     validate_dataset,
 )
+from answertree.evaluation import REPORT_CSV_HEADER, _fixture_row
 
 HEADER = "question_id,answer,label\n"
 
@@ -100,6 +103,22 @@ def test_json_value_that_is_not_text_or_a_number_names_its_element(
     with pytest.raises(AnswerFileError) as raised:
         parse(content, "json")
     assert str(raised.value) == f"element 1: {column} must be text or a number, not {kind}"
+
+
+@pytest.mark.parametrize("text", ["\ud800", "alpha \udfff", "\udc00\ud800"])
+@pytest.mark.parametrize(
+    "parse, column",
+    [(parse_answer_file, c) for c in ("question_id", "answer", "label")]
+    + [(parse_ungraded_file, c) for c in ("question_id", "answer")],
+)
+def test_json_string_with_a_lone_surrogate_names_its_element(parse, column, text):
+    # json.dumps escapes the surrogate as \ud800; json.loads reads it back
+    # as a string no UTF-8 file or output can hold.
+    element = {"question_id": "q1", "answer": "x", "label": "correct"}
+    content = json.dumps([element, {**element, column: text}])
+    with pytest.raises(AnswerFileError) as raised:
+        parse(content, "json")
+    assert str(raised.value) == f"element 1: {column} holds a lone surrogate, which is not text"
 
 
 def test_parse_ungraded_file():
@@ -329,3 +348,72 @@ def test_dataset_construction_is_idempotent(raw):
     assert again == first
     assert first.correct_count + first.incorrect_count == len(first)
     assert all(s.raw_text.strip() for s in first.samples)
+
+
+def parse_fixture(content, format):
+    """The stats fixture is read as CSV only; its JSON form takes the same
+    reader rules."""
+    return read_rows(content, format, REPORT_CSV_HEADER, _fixture_row)
+
+
+# Every table the reader reads: its columns and its parser.
+TABLES = [
+    (CSV_HEADER, parse_answer_file),
+    (UNGRADED_CSV_HEADER, parse_ungraded_file),
+    (REPORT_CSV_HEADER, parse_fixture),
+]
+surrogate = st.integers(0xD800, 0xDFFF).map(chr)
+# Text that may hold lone surrogates, as a JSON \ud800 escape loads.
+any_string = st.lists(
+    st.one_of(st.text(min_size=1, max_size=4), surrogate), min_size=1, max_size=4
+).map("".join)
+json_value = st.one_of(
+    any_string, st.integers(), st.floats(), st.none(), st.booleans(), st.just([])
+)
+count = st.integers(0, 99)
+
+
+def good_value(column, text):
+    """Values a column accepts: any ``text`` for an id or an answer, else a
+    label or a count, as its text or as a number."""
+    if column in ("question_id", "answer"):
+        return text
+    if column == "label":
+        return st.sampled_from(["correct", "incorrect", 1, 0])
+    return st.one_of(count, count.map(str))
+
+
+@st.composite
+def table_files(draw, columns):
+    """A format and content: any text, or rows under ``columns`` laid out
+    as CSV or as JSON made by json.dumps with ASCII escapes. Most rows hold
+    a good value in every column."""
+    format = draw(st.sampled_from(["csv", "json"]))
+    if draw(st.booleans()):
+        return format, draw(st.text(max_size=60))
+    keys = st.sampled_from(columns)
+    if format == "json":
+        good = st.fixed_dictionaries({c: good_value(c, any_string) for c in columns})
+        bad = st.one_of(st.dictionaries(keys, json_value, max_size=4), json_value)
+        elements = draw(st.lists(st.one_of(good, good, bad), max_size=5))
+        return format, json.dumps(elements, ensure_ascii=True)
+    good = st.tuples(*(good_value(c, st.text(max_size=8)) for c in columns))
+    bad = st.lists(st.text(max_size=8), max_size=len(columns) + 1)
+    header = draw(st.one_of(st.just(columns), st.just(columns), st.lists(keys, max_size=4)))
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *draw(st.lists(st.one_of(good, good, bad), max_size=5))])
+    return format, out.getvalue()
+
+
+@pytest.mark.parametrize("columns, parse", TABLES, ids=["graded", "ungraded", "report"])
+@given(data=st.data())
+def test_reader_returns_utf8_rows_or_raises_answer_file_error(columns, parse, data):
+    format, content = data.draw(table_files(columns))
+    try:
+        items = parse(content, format)
+    except AnswerFileError:
+        return
+    for item in items:
+        for value in item:
+            if isinstance(value, str):
+                value.encode("utf-8")

@@ -686,6 +686,24 @@ def test_explain_renders_the_step_list(example_tree):
     ]
 
 
+def _reference_ordinal(position):
+    """English ordinals by the rule as written: a number ending in 11, 12
+    or 13 takes "th"; otherwise one ending in 1, 2 or 3 takes "st", "nd"
+    or "rd", and any other takes "th"."""
+    text = str(position)
+    if text[-2:] in ("11", "12", "13"):
+        return text + "th"
+    return text + {"1": "st", "2": "nd", "3": "rd"}.get(text[-1], "th")
+
+
+def test_explain_numbers_steps_past_the_tenth_in_english():
+    words = "First Second Third Fourth Fifth Sixth Seventh Eighth Ninth Tenth".split()
+    want = words + [_reference_ordinal(p) for p in range(11, 201)]
+    assert [dtree._ordinal(p) for p in range(1, 201)] == want
+    assert want[20:23] + want[100:101] == ["21st", "22nd", "23rd", "101st"]
+    assert want[110:113] == ["111th", "112th", "113th"]
+
+
 def test_explain_single_leaf_tree():
     tree = build_tree(dataset([("alpha", C), ("beta", C)]))
     result = classify(tree, frozenset({"alpha"}))
@@ -1035,6 +1053,7 @@ LEAF = {"label": "incorrect", "count": 1, "size": 2}
         ({**LEAF, "size": 0, "count": 0}, "bad node counts 0/0"),
         ({**LEAF, "true": LEAF}, "leaf node must not have children"),
         ({**LEAF, "word": 7, "true": LEAF, "false": LEAF}, "word must be a string"),
+        ({**LEAF, "word": "\ud800", "true": LEAF, "false": LEAF}, "word holds a lone surrogate"),
         ({**LEAF, "word": "w", "true": LEAF}, "internal node needs both children"),
     ],
 )
@@ -1097,3 +1116,14 @@ def test_deserialize_requires_a_non_empty_string_question_id(example_tree_path, 
     with pytest.raises(TreeFormatError) as raised:
         deserialize_tree(json.dumps(document))
     assert str(raised.value) == "question_id must be a non-empty string"
+
+
+@pytest.mark.parametrize("field", ["question_id", "trained_at"])
+def test_deserialize_rejects_a_lone_surrogate(example_tree_path, field):
+    # json.dumps writes the surrogate as a \udfff escape, which json.loads
+    # reads back as a string no UTF-8 output can hold.
+    document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+    document[field] = "Q\udfff"
+    with pytest.raises(TreeFormatError) as raised:
+        deserialize_tree(json.dumps(document))
+    assert str(raised.value) == f"{field} holds a lone surrogate"

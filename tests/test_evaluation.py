@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from answertree.corpus import AnswerRecord, Label, build_question_dataset
+from answertree.corpus import AnswerFileError, AnswerRecord, Label, build_question_dataset
 from answertree.dtree import TrainConfig
 from answertree.evaluation import (
     FoldError,
@@ -349,16 +349,18 @@ def test_rows_from_fixture_csv_round_trip():
 
 
 def test_rows_from_fixture_csv_validation():
-    with pytest.raises(ValueError, match="empty fixture"):
+    with pytest.raises(AnswerFileError, match="^empty CSV file$"):
         rows_from_fixture_csv("")
-    with pytest.raises(ValueError, match="bad fixture header"):
+    with pytest.raises(AnswerFileError, match="^bad CSV header"):
         rows_from_fixture_csv("a,b\n1,2\n")
     good_header = ",".join(
         ["question_id", "average_grade", "dt_accuracy", "unique_all",
          "unique_correct", "unique_incorrect"]
     )
-    with pytest.raises(ValueError, match="row 1"):
+    with pytest.raises(AnswerFileError, match="^row 1: expected 6 columns, got 2$"):
         rows_from_fixture_csv(good_header + "\nQ1,0.5\n")
+    with pytest.raises(AnswerFileError, match="^row 2: empty question_id$"):
+        rows_from_fixture_csv(good_header + "\n\n ,0.5,1,1,1,1\n")
 
 
 def test_fixture_file_loads_54_questions(reference_tables_path):
