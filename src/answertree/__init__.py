@@ -23,7 +23,6 @@ from .corpus import (
 from .dtree import (
     Classification,
     DecisionTree,
-    TrainConfig,
     TreeFormatError,
     build_tree,
     classify,
@@ -37,7 +36,6 @@ from .dtree import (
 from .evaluation import (
     CorrelationResult,
     EvaluationReport,
-    FoldPlan,
     QuestionAccuracy,
     build_report,
     cross_validate,

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import math
 import os
 import stat
@@ -23,20 +24,38 @@ DEFAULT_CERTAINTY_THRESHOLD = 0.70
 _J, _R = TypeVar("_J"), TypeVar("_R")
 
 
+def _is_stdout(info: os.stat_result) -> bool:
+    """Whether ``info`` is the file this process's stdout writes to."""
+    try:
+        return os.path.samestat(info, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no stdout, or no file behind it
+        return False
+
+
 def _atomic_write(path: Path, content: str) -> None:
-    """Write ``content`` as UTF-8 to the file ``path`` names. A FIFO or a
-    character device is written directly. Otherwise a temporary file beside
-    the target, through any symlink, replaces it whole; it keeps the mode
-    of the file it replaces, and a new file gets ``0o666`` less the umask,
-    as ``open`` would give it."""
+    """Write ``content`` as UTF-8 to the file ``path`` names. The file stdout
+    writes to, such as ``/dev/stdout``, is written through stdout, after
+    what was printed before; replacing it would drop that text, and send
+    what is printed after to the replaced file. Any other FIFO or character
+    device is written directly. Otherwise a temporary file beside the
+    target, through any symlink, replaces it whole; it keeps the mode of the
+    file it replaces, and a new file gets ``0o666`` less the umask, as
+    ``open`` would give it."""
     import tempfile  # here: explain writes no file
 
     try:
-        mode = os.stat(path).st_mode
+        info = os.stat(path)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
+    else:
+        mode = info.st_mode
+        if _is_stdout(info):
+            sys.stdout.flush()
+            sys.stdout.buffer.write(content.encode("utf-8"))
+            sys.stdout.buffer.flush()
+            return
     if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
@@ -136,12 +155,11 @@ def _per_question(
 def cmd_train(args: argparse.Namespace) -> int:
     trained_at = _trained_at()
     stopwords = _load_prep(args.stopwords)
-    config = dtree.TrainConfig(min_gain=args.min_gain)
 
     def train(dataset: corpus.QuestionDataset) -> tuple[str, str | None, str]:
         """(question id, tree text, summary line), or no text and the error."""
         question_id = dataset.question_id
-        tree = dtree.build_tree(dataset, config, trained_at=trained_at)
+        tree = dtree.build_tree(dataset, args.min_gain, trained_at=trained_at)
         try:
             text = dtree.serialize_tree(tree)
         except dtree.TreeFormatError as exc:
@@ -350,7 +368,6 @@ def _fan_out(command: str, work: Callable[[_J], _R], jobs: list[_J]) -> list[_R]
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
-    config = dtree.TrainConfig(min_gain=args.min_gain)
 
     def evaluate(dataset: corpus.QuestionDataset) -> evaluation.QuestionRow | str:
         """The question's report row, or why it was skipped."""
@@ -359,13 +376,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"skipping {dataset.question_id}: {len(dataset)} samples is fewer "
                 f"than k={args.k}"
             )
-        plan = evaluation.make_stratified_folds(
-            [s.label for s in dataset.samples], args.k, args.seed
-        )
-        accuracy = evaluation.cross_validate(dataset, config, plan)
+        accuracy = evaluation.cross_validate(dataset, args.min_gain, args.k, args.seed)
         counts = textprep.unique_word_counts(dataset)
         return evaluation.QuestionRow(
-            dataset.question_id, accuracy.average_grade, accuracy.accuracy,
+            dataset.question_id, dataset.average_grade, accuracy.accuracy,
             counts.all_words, counts.correct_words, counts.incorrect_words,
         )
 
@@ -473,6 +487,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Ids and words are printed as the input spells them. Like stderr, stdout
+    # escapes a character its encoding cannot hold rather than raising.
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     if not 0.0 <= getattr(args, "threshold", 0.0) <= 1.0:
         print("--threshold must be in [0, 1]", file=sys.stderr)

@@ -27,10 +27,6 @@ class TreeFormatError(Exception):
     """Malformed serialized tree document."""
 
 
-class TrainConfig(NamedTuple):
-    min_gain: float = 0.0
-
-
 class _TreeFields(NamedTuple):
     question_id: str
     words: tuple[str | None, ...]
@@ -39,7 +35,7 @@ class _TreeFields(NamedTuple):
     labels: tuple[Label, ...]
     counts: tuple[int, ...]
     sizes: tuple[int, ...]
-    config: TrainConfig = TrainConfig()
+    min_gain: float = 0.0
     trained_at: str = ""
 
 
@@ -80,10 +76,10 @@ def _add(rows: list[list], parent: int, branch: bool, row: list) -> int:
 
 
 def _tree(
-    question_id: str, rows: list[list], config: TrainConfig, trained_at: str
+    question_id: str, rows: list[list], min_gain: float, trained_at: str
 ) -> DecisionTree:
     """The tree whose nodes are ``rows``, as ``_add`` laid them out."""
-    return DecisionTree(question_id, *map(tuple, zip(*rows)), config, trained_at)
+    return DecisionTree(question_id, *map(tuple, zip(*rows)), min_gain, trained_at)
 
 
 class SplitEvaluation(NamedTuple):
@@ -282,11 +278,12 @@ def select_best_rule(
 
 def build_tree(
     dataset: QuestionDataset,
-    config: TrainConfig = TrainConfig(),
+    min_gain: float = 0.0,
     trained_at: str = "",
     held_out: int = 0,
 ) -> DecisionTree:
-    """Train a tree on a question dataset, splitting until purity or no gain.
+    """Train a tree on a question dataset, splitting until purity or until no
+    word gains more than ``min_gain``.
 
     Samples whose bits are set in ``held_out``, such as a test fold, are left
     out. Nodes are grown from an explicit stack straight into the tree's
@@ -315,7 +312,7 @@ def build_tree(
         if correct and incorrect:
             node = _Node(mask, word_masks, correct_mask, [])
             choice = select_best_rule(
-                node, candidates, entropy(correct, incorrect), config.min_gain
+                node, candidates, entropy(correct, incorrect), min_gain
             )
             if choice is not None:
                 word = choice[0]
@@ -324,7 +321,7 @@ def build_tree(
             word_mask = word_masks[word]
             stack.append((mask & ~word_mask, node.live, index, False))
             stack.append((mask & word_mask, node.live, index, True))
-    return _tree(dataset.question_id, rows, config, trained_at)
+    return _tree(dataset.question_id, rows, min_gain, trained_at)
 
 
 def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classification:
@@ -428,7 +425,7 @@ def serialize_tree(tree: DecisionTree) -> str:
     parts = [
         '{\n  "question_id": ', quote(tree.question_id),
         ',\n  "trained_at": ', quote(tree.trained_at),
-        ',\n  "config": {\n    "min_gain": ', json.dumps(tree.config.min_gain),
+        ',\n  "config": {\n    "min_gain": ', json.dumps(tree.min_gain),
         ',\n    "leaf_tie_label": "incorrect"',
         '\n  },\n  "root": ',
     ]
@@ -486,7 +483,6 @@ def deserialize_tree(text: str) -> DecisionTree:
     # rejected rather than overflowing float().
     if not (number and 0.0 <= min_gain <= sys.float_info.max):
         raise TreeFormatError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
-    config = TrainConfig(min_gain=float(min_gain))
     rows: list[list] = []
     # (node object, its path for messages, index of the parent, whether it
     # is the true child, its level), popped in preorder
@@ -538,4 +534,4 @@ def deserialize_tree(text: str) -> DecisionTree:
         if not is_utf8(text):
             raise TreeFormatError(f"{name} holds a lone surrogate")
     _check_depth(levels)
-    return _tree(question_id, rows, config, trained_at)
+    return _tree(question_id, rows, float(min_gain), trained_at)

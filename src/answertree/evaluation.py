@@ -17,7 +17,7 @@ import re
 from typing import NamedTuple
 
 from .corpus import Label, QuestionDataset, read_rows
-from .dtree import TrainConfig, build_tree, classify
+from .dtree import build_tree, classify
 
 GRADE_BAND = (0.40, 0.60)
 REPORT_CSV_HEADER = [
@@ -34,16 +34,17 @@ class FoldError(Exception):
     """Cross-validation could not be set up or run for a question."""
 
 
-class FoldPlan(NamedTuple):
-    k: int
-    seed: int
-    assignments: tuple[int, ...]
-
-
-def make_stratified_folds(labels: list[Label], k: int = 10, seed: int = 0) -> FoldPlan:
-    """Deterministic k-fold assignment: deals each label class, in a seeded
-    shuffle, round-robin, so every fold keeps roughly the dataset's class balance."""
-    _check_fold_args(len(labels), k)
+def make_stratified_folds(
+    labels: list[Label], k: int = 10, seed: int = 0
+) -> tuple[int, ...]:
+    """Deterministic k-fold assignment, the fold of each label in order: deals
+    each label class, in a seeded shuffle, round-robin, so every fold keeps
+    roughly the dataset's class balance. With ``2 <= k <= len(labels)`` every
+    fold holds at least one label and at most all but one."""
+    if k < 2:
+        raise FoldError(f"need at least 2 folds, got k={k}")
+    if len(labels) < k:
+        raise FoldError(f"cannot make {k} folds from {len(labels)} samples")
     rng = random.Random(seed)
     assignments = [0] * len(labels)
     position = 0
@@ -53,61 +54,37 @@ def make_stratified_folds(labels: list[Label], k: int = 10, seed: int = 0) -> Fo
         for index in indices:
             assignments[index] = position % k
             position += 1
-    return FoldPlan(k=k, seed=seed, assignments=tuple(assignments))
-
-
-def _check_fold_args(n_samples: int, k: int) -> None:
-    if k < 2:
-        raise FoldError(f"need at least 2 folds, got k={k}")
-    if n_samples < k:
-        raise FoldError(f"cannot make {k} folds from {n_samples} samples")
+    return tuple(assignments)
 
 
 class QuestionAccuracy(NamedTuple):
-    question_id: str
     accuracy: float
     per_fold: tuple[tuple[int, int], ...]  # (correct classifications, test size)
-    average_grade: float
 
 
 def cross_validate(
-    dataset: QuestionDataset, config: TrainConfig, fold_plan: FoldPlan
+    dataset: QuestionDataset, min_gain: float, k: int, seed: int
 ) -> QuestionAccuracy:
-    """Train on k-1 folds, grade the held-out fold, pool hits over all folds."""
+    """Deal the samples into ``k`` stratified folds with ``seed``, train on
+    k-1 folds with ``min_gain``, grade the held-out fold, and pool hits over
+    all folds. Every fold, and so every training split, is non-empty."""
     samples = dataset.samples
-    if len(samples) != len(fold_plan.assignments):
-        raise FoldError(
-            f"fold plan covers {len(fold_plan.assignments)} samples, "
-            f"dataset has {len(samples)}"
-        )
-    folds: list[list] = [[] for _ in range(fold_plan.k)]
-    masks = [0] * fold_plan.k
-    for index, (sample, fold) in enumerate(zip(samples, fold_plan.assignments)):
-        if not 0 <= fold < fold_plan.k:
-            raise FoldError(
-                f"sample {index} is assigned fold {fold}, outside 0..{fold_plan.k - 1}"
-            )
+    assignments = make_stratified_folds([s.label for s in samples], k, seed)
+    folds: list[list] = [[] for _ in range(k)]
+    masks = [0] * k
+    for index, (sample, fold) in enumerate(zip(samples, assignments)):
         folds[fold].append(sample)
         masks[fold] |= 1 << index
     per_fold = []
-    for fold, (test, mask) in enumerate(zip(folds, masks)):
-        if len(test) == len(samples):
-            raise FoldError(f"fold {fold}: empty training split")
-        if not test:
-            per_fold.append((0, 0))
-            continue
-        tree = build_tree(dataset, config, held_out=mask)
+    for test, mask in zip(folds, masks):
+        tree = build_tree(dataset, min_gain, held_out=mask)
         hits = sum(
             1 for s in test if classify(tree, s.features).label is s.label
         )
         per_fold.append((hits, len(test)))
-    total_hits = sum(h for h, _ in per_fold)
-    total_tested = sum(n for _, n in per_fold)
     return QuestionAccuracy(
-        question_id=dataset.question_id,
-        accuracy=total_hits / total_tested,
+        accuracy=sum(h for h, _ in per_fold) / len(samples),
         per_fold=tuple(per_fold),
-        average_grade=dataset.average_grade,
     )
 
 

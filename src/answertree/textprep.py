@@ -54,7 +54,6 @@ class UniqueWordCounts(NamedTuple):
     columns can sum to more than ``all_words``.
     """
 
-    question_id: str
     all_words: int
     correct_words: int
     incorrect_words: int
@@ -66,7 +65,6 @@ def unique_word_counts(dataset: "QuestionDataset") -> UniqueWordCounts:
     when it has a bit outside it."""
     _, word_masks, correct, _ = dataset.index
     return UniqueWordCounts(
-        dataset.question_id,
         len(word_masks),
         sum(1 for mask in word_masks.values() if mask & correct),
         sum(1 for mask in word_masks.values() if mask & ~correct),

@@ -23,10 +23,8 @@ from answertree.dtree import (
     serialize_tree,
 )
 from answertree.evaluation import (
-    TrainConfig,
     build_report,
     cross_validate,
-    make_stratified_folds,
     pearson,
     rows_from_fixture_csv,
 )
@@ -259,8 +257,7 @@ def test_criterion_4d_tenfold_cv_on_separable_corpus():
     pairs = [(f"alpha item{j}", C) for j in range(20)]
     pairs += [(f"wrong item{j}", I) for j in range(20)]
     data = dataset(pairs)
-    plan = make_stratified_folds([s.label for s in data.samples], k=10, seed=0)
-    result = cross_validate(data, TrainConfig(), plan)
+    result = cross_validate(data, min_gain=0.0, k=10, seed=0)
     assert result.accuracy == 1.0
     ok("criterion 4d — 10-fold CV accuracy 1.0 on 40-answer separable corpus")
 
@@ -282,8 +279,7 @@ def test_criterion_4e_accuracy_falls_as_lexical_overlap_grows():
     accuracies, vocab_sizes = [], []
     for level in range(8):
         data = _overlap_question(level)
-        plan = make_stratified_folds([s.label for s in data.samples], k=10, seed=0)
-        accuracies.append(cross_validate(data, TrainConfig(), plan).accuracy)
+        accuracies.append(cross_validate(data, min_gain=0.0, k=10, seed=0).accuracy)
         vocab_sizes.append(float(unique_word_counts(data).all_words))
     result = pearson(accuracies, vocab_sizes)
     assert result.r < 0

@@ -846,10 +846,10 @@ def _fail_in(monkeypatch, question_id, fail, in_child=True):
     test_pid = os.getpid()
     cross_validate = evaluation.cross_validate
 
-    def failing(dataset, config, plan):
+    def failing(dataset, min_gain, k, seed):
         if dataset.question_id == question_id and (os.getpid() != test_pid) == in_child:
             fail()
-        return cross_validate(dataset, config, plan)
+        return cross_validate(dataset, min_gain, k, seed)
 
     monkeypatch.setattr(evaluation, "cross_validate", failing)
 
@@ -868,22 +868,22 @@ def test_evaluate_error_in_a_worker_is_one_line_exit_1(tmp_path, capsys, monkeyp
     _cpus(monkeypatch, 2)
 
     def fail():
-        raise evaluation.FoldError("fold 3: empty training split")
+        raise evaluation.FoldError("cannot make 10 folds from 9 samples")
 
     # Job j goes to worker j % 2: worker 0, the parent, takes q1, q3 and q5,
     # and worker 1 q2, q4 and q6.
     _fail_in(monkeypatch, "q4", fail)
-    _assert_evaluate_fails_alone(tmp_path, capsys, "fold 3: empty training split")
+    _assert_evaluate_fails_alone(tmp_path, capsys, "cannot make 10 folds from 9 samples")
 
 
 def test_evaluate_reaps_workers_when_its_own_share_fails(tmp_path, capsys, monkeypatch):
     _cpus(monkeypatch, 3)
 
     def fail():
-        raise evaluation.FoldError("fold 0: empty training split")
+        raise evaluation.FoldError("need at least 2 folds, got k=1")
 
     _fail_in(monkeypatch, "q4", fail, in_child=False)  # the parent's last job
-    _assert_evaluate_fails_alone(tmp_path, capsys, "fold 0: empty training split")
+    _assert_evaluate_fails_alone(tmp_path, capsys, "need at least 2 folds, got k=1")
 
 
 def test_evaluate_parent_runs_every_workers_th_question(tmp_path, monkeypatch):
@@ -893,10 +893,10 @@ def test_evaluate_parent_runs_every_workers_th_question(tmp_path, monkeypatch):
     cross_validate = evaluation.cross_validate
     in_parent = []
 
-    def recording(dataset, config, plan):
+    def recording(dataset, min_gain, k, seed):
         if os.getpid() == test_pid:
             in_parent.append(dataset.question_id)
-        return cross_validate(dataset, config, plan)
+        return cross_validate(dataset, min_gain, k, seed)
 
     monkeypatch.setattr(evaluation, "cross_validate", recording)
     for cpus in range(1, 8):
@@ -1184,6 +1184,81 @@ def test_out_into_a_fifo_writes_through_it(tmp_path, example_tree_path):
     finally:
         os.close(reader)
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
+def _run_cli(args, stdout=subprocess.PIPE, **env):
+    """``python -m answertree`` with ``args`` in a subprocess, with ``env``
+    added to the environment; its output is bytes."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "answertree", *args],
+        env=dict(os.environ, PYTHONPATH=path, **env),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("mode", ["wb", "ab"], ids=[">", ">>"])
+def test_out_that_is_stdout_goes_between_the_printed_lines(
+    tmp_path, capsys, reference_tables_path, mode
+):
+    # Under "> log" or ">> log", /dev/stdout names the log itself. The report
+    # goes through stdout, so the log keeps what was there before it (with
+    # ">>") and the correlation lines printed after it.
+    report = tmp_path / "stats.json"
+    argv = ["stats", "--fixture", str(reference_tables_path), "--out"]
+    assert main([*argv, str(report)]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    log = tmp_path / "log.txt"
+    log.write_bytes(b"old\n")
+    with open(log, mode) as stdout:
+        done = _run_cli([*argv, "/dev/stdout"], stdout)
+    assert (done.returncode, done.stderr) == (0, b"")
+    before = b"old\n" if mode == "ab" else b""
+    assert log.read_bytes() == before + report.read_bytes() + printed
+    assert {p.name for p in tmp_path.glob(".*")} == set()
+
+
+# A tree whose root tests a non-ASCII word, which "alpha" answers after it.
+_NON_ASCII_TREE = {
+    "question_id": "qé",
+    "root": {
+        "word": "café", "label": "incorrect", "count": 2, "size": 4,
+        "true": {"label": "incorrect", "count": 1, "size": 1},
+        "false": {
+            "word": "alpha", "label": "correct", "count": 2, "size": 3,
+            "true": {"label": "correct", "count": 2, "size": 2},
+            "false": {"label": "incorrect", "count": 1, "size": 1},
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_stdout_escapes_what_its_encoding_cannot_hold(tmp_path, command):
+    if command == "train":
+        answers = write(
+            tmp_path / "answers.csv",
+            "question_id,answer,label\nqé,alpha beta,correct\nqé,gamma,incorrect\n",
+        )
+        args = ["train", "--answers", answers, "--out", str(tmp_path / "trees")]
+        want = "qé: 2 samples (1 correct, 1 incorrect), vocabulary 3\n"
+    else:
+        tree = write(tmp_path / "tree.json", json.dumps(_NON_ASCII_TREE))
+        args = ["explain", "--tree", tree, "--answer", "alpha"]
+        want = (
+            'First node "café" returns FALSE\n'
+            'Second node "alpha" returns TRUE\n'
+            "answer is correct (100% significance)\n"
+            'critical decision point: "alpha"\n'
+        )
+    for encoding, errors in (("utf-8", "strict"), ("ascii", "backslashreplace")):
+        done = _run_cli(args, PYTHONIOENCODING=encoding, SOURCE_DATE_EPOCH="0")
+        assert (done.returncode, done.stderr) == (0, b""), encoding
+        assert done.stdout == want.encode(encoding, errors)
+    if command == "train":
+        assert [p.name for p in (tmp_path / "trees").iterdir()] == ["qé.tree.json"]
 
 
 @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)

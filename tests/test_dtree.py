@@ -20,7 +20,6 @@ from answertree.dtree import (
     Classification,
     DecisionTree,
     TraceStep,
-    TrainConfig,
     TreeFormatError,
     _gain,
     _Node,
@@ -163,7 +162,7 @@ def test_select_best_rule_never_returns_a_vacuous_split():
 
 def test_build_tree_negative_min_gain_grows_no_empty_child():
     data = dataset([("the wall", C), ("wall", I), ("papillary", C)])
-    root = _root(build_tree(data, TrainConfig(min_gain=-1)))
+    root = _root(build_tree(data, min_gain=-1))
     assert root["word"] == "papillary"
     assert root["true"]["size"] == 1
     assert "word" not in root["false"]
@@ -290,7 +289,7 @@ def test_build_tree_tie_node_is_incorrect():
 
 
 def test_build_tree_min_gain_prunes():
-    tree = build_tree(dataset(REFERENCE_CORPUS), TrainConfig(min_gain=2.0))
+    tree = build_tree(dataset(REFERENCE_CORPUS), min_gain=2.0)
     assert "word" not in _root(tree)
 
 
@@ -354,7 +353,7 @@ def test_disjoint_class_vocabularies_always_reach_purity():
 # through deserialize_tree. build_tree must match it byte for byte.
 
 
-def _reference_grow(samples, path_words, config):
+def _reference_grow(samples, path_words, min_gain):
     correct = sum(1 for s in samples if s.label is C)
     incorrect = len(samples) - correct
     if correct != incorrect:
@@ -371,7 +370,7 @@ def _reference_grow(samples, path_words, config):
         evaluation = evaluate_split(samples, word, current)
         if best is None or evaluation.gain > best.gain:
             best = evaluation
-    if best is None or best.gain <= config.min_gain + GAIN_TOLERANCE:
+    if best is None or best.gain <= min_gain + GAIN_TOLERANCE:
         return leaf
     true_side = tuple(s for s in samples if best.word in s.features)
     false_side = tuple(s for s in samples if best.word not in s.features)
@@ -379,22 +378,22 @@ def _reference_grow(samples, path_words, config):
     return {
         "word": best.word,
         **leaf,
-        "true": _reference_grow(true_side, deeper, config),
-        "false": _reference_grow(false_side, deeper, config),
+        "true": _reference_grow(true_side, deeper, min_gain),
+        "false": _reference_grow(false_side, deeper, min_gain),
     }
 
 
-def _reference_tree(question_id, samples, config):
+def _reference_tree(question_id, samples, min_gain):
     document = {
         "question_id": question_id,
-        "config": {"min_gain": config.min_gain, "leaf_tie_label": "incorrect"},
-        "root": _reference_grow(samples, frozenset(), config),
+        "config": {"min_gain": min_gain, "leaf_tie_label": "incorrect"},
+        "root": _reference_grow(samples, frozenset(), min_gain),
     }
     return deserialize_tree(json.dumps(document))
 
 
-def _reference_tree_text(data, config):
-    return serialize_tree(_reference_tree(data.question_id, data.samples, config))
+def _reference_tree_text(data, min_gain):
+    return serialize_tree(_reference_tree(data.question_id, data.samples, min_gain))
 
 
 def _root_has_gain_tie(samples):
@@ -414,7 +413,7 @@ POOL = ["alpha", "beta", "gamma", "delta", "eps", "zeta", "eta"]
 def _random_case(rng, case, max_samples=40):
     """A seeded corpus with few distinct word sets, so the same set recurs
     with both labels; "twin" always comes with "alpha", so the two tie
-    exactly. Returns the dataset and a random training config."""
+    exactly. Returns the dataset and a random min_gain."""
     shapes = [
         frozenset(w for w in POOL if rng.random() < 0.35)
         for _ in range(rng.randint(2, 8))
@@ -427,24 +426,23 @@ def _random_case(rng, case, max_samples=40):
         label = C if rng.random() < 0.5 else I
         samples.append(Sample(features, f"{case}-{i}", label))
     data = QuestionDataset(question_id=f"q{case}", samples=tuple(samples))
-    config = TrainConfig(min_gain=rng.choice([0.0, 0.0, 0.05, 0.2]))
-    return data, config
+    return data, rng.choice([0.0, 0.0, 0.05, 0.2])
 
 
 def test_build_tree_matches_per_candidate_reference_grower():
     rng = random.Random(20261018)
     repeated_with_both_labels = ties = thresholded = 0
     for case in range(400):
-        data, config = _random_case(rng, case)
+        data, min_gain = _random_case(rng, case)
         samples = data.samples
-        want = _reference_tree_text(data, config)
-        assert serialize_tree(build_tree(data, config)) == want
+        want = _reference_tree_text(data, min_gain)
+        assert serialize_tree(build_tree(data, min_gain)) == want
         labels_by_set = {}
         for s in samples:
             labels_by_set.setdefault(s.features, set()).add(s.label)
         repeated_with_both_labels += any(len(v) == 2 for v in labels_by_set.values())
         ties += _root_has_gain_tie(samples)
-        thresholded += config.min_gain > 0
+        thresholded += min_gain > 0
     assert repeated_with_both_labels > 100
     assert ties > 100
     assert thresholded > 100
@@ -473,7 +471,7 @@ def _leaf_training_data(tree):
 def test_example_tree_training_data_grades_the_worked_examples_unchanged(example_tree):
     data = _leaf_training_data(example_tree)
     tree = build_tree(data)
-    assert serialize_tree(tree) == _reference_tree_text(data, TrainConfig())
+    assert serialize_tree(tree) == _reference_tree_text(data, 0.0)
     for words in (
         {"papillary", "muscles"},
         {"atrial", "papillary", "muscles"},
@@ -523,11 +521,11 @@ def test_grower_calls_select_best_rule_once_per_impure_node(monkeypatch):
 
     monkeypatch.setattr(dtree, "select_best_rule", counting)
     rng = random.Random(20261020)
-    cases = [(dataset(REFERENCE_CORPUS), TrainConfig())]
+    cases = [(dataset(REFERENCE_CORPUS), 0.0)]
     cases += [_random_case(rng, case) for case in range(200)]
-    for data, config in cases:
+    for data, min_gain in cases:
         calls.clear()
-        tree = build_tree(data, config)
+        tree = build_tree(data, min_gain)
         impure = 0
         stack = [_root(tree)]
         while stack:
@@ -542,28 +540,28 @@ def test_build_tree_with_samples_held_out_equals_a_tree_of_the_rest():
     rng = random.Random(20261022)
     grown = empty = 0
     for case in range(400):
-        data, config = _random_case(rng, case)
+        data, min_gain = _random_case(rng, case)
         held_out = rng.getrandbits(len(data.samples))
         rest = tuple(s for i, s in enumerate(data.samples) if not held_out >> i & 1)
         if not rest:
             with pytest.raises(ValueError, match="empty dataset"):
-                build_tree(data, config, held_out=held_out)
+                build_tree(data, min_gain, held_out=held_out)
             empty += 1
             continue
-        want = build_tree(QuestionDataset(data.question_id, rest), config)
-        got = build_tree(data, config, held_out=held_out)
+        want = build_tree(QuestionDataset(data.question_id, rest), min_gain)
+        got = build_tree(data, min_gain, held_out=held_out)
         assert got == want  # every array: words, children, labels, counts, sizes
         grown += len(got.words) > 1
     assert grown > 100 and empty > 0
 
 
-def _reference_cross_validate(data, config, plan):
+def _reference_cross_validate(data, min_gain, k, assignments):
     per_fold = []
-    for fold in range(plan.k):
-        pairs = list(zip(data.samples, plan.assignments))
+    for fold in range(k):
+        pairs = list(zip(data.samples, assignments))
         train = tuple(s for s, f in pairs if f != fold)
         test = [s for s, f in pairs if f == fold]
-        tree = _reference_tree(data.question_id, train, config)
+        tree = _reference_tree(data.question_id, train, min_gain)
         hits = sum(1 for s in test if classify(tree, s.features).label is s.label)
         per_fold.append((hits, len(test)))
     return tuple(per_fold)
@@ -572,11 +570,11 @@ def _reference_cross_validate(data, config, plan):
 def test_cross_validate_matches_a_cv_on_the_reference_grower():
     rng = random.Random(20261021)
     for case in range(150):
-        data, config = _random_case(rng, case, max_samples=80)
+        data, min_gain = _random_case(rng, case, max_samples=80)
         k = rng.randint(2, min(10, len(data.samples)))
-        plan = make_stratified_folds([s.label for s in data.samples], k, seed=case)
-        want = _reference_cross_validate(data, config, plan)
-        assert cross_validate(data, config, plan).per_fold == want
+        assignments = make_stratified_folds([s.label for s in data.samples], k, seed=case)
+        want = _reference_cross_validate(data, min_gain, k, assignments)
+        assert cross_validate(data, min_gain, k, seed=case).per_fold == want
 
 
 def test_cached_entropy_equals_the_uncached_function_bit_for_bit():
@@ -962,7 +960,7 @@ _MIN_GAINS = st.one_of(
 )
 
 
-def _tree_from_shape(shape, question_id, config, trained_at):
+def _tree_from_shape(shape, question_id, min_gain, trained_at):
     """The tree whose nested shape is ``shape``: a leaf is (label, count,
     size), a test is (word, label, count, size, true shape, false shape)."""
     rows, stack = [], [(shape, -1, False)]
@@ -972,13 +970,12 @@ def _tree_from_shape(shape, question_id, config, trained_at):
         index = dtree._add(rows, parent, branch, [word, -1, -1, label, count, size])
         if word is not None:
             stack += [(node[5], index, False), (node[4], index, True)]
-    return DecisionTree(question_id, *map(tuple, zip(*rows)), config, trained_at)
+    return DecisionTree(question_id, *map(tuple, zip(*rows)), min_gain, trained_at)
 
 
 @given(_TREE_SHAPES, _AWKWARD_TEXT, _AWKWARD_TEXT, _MIN_GAINS)
 def test_serialize_writes_the_bytes_of_json_dumps(shape, question_id, trained_at, min_gain):
-    config = TrainConfig(min_gain=min_gain)
-    tree = _tree_from_shape(shape, question_id, config, trained_at)
+    tree = _tree_from_shape(shape, question_id, min_gain, trained_at)
     document = {
         "question_id": question_id,
         "trained_at": trained_at,

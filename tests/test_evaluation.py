@@ -8,10 +8,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from answertree.corpus import AnswerFileError, AnswerRecord, Label, build_question_dataset
-from answertree.dtree import TrainConfig
 from answertree.evaluation import (
     FoldError,
-    FoldPlan,
     QuestionRow,
     build_report,
     cross_validate,
@@ -38,27 +36,29 @@ def dataset(pairs, qid="q"):
 
 def test_stratified_folds_preserve_class_proportions():
     labels = [C] * 60 + [I] * 40
-    plan = make_stratified_folds(labels, k=10, seed=0)
+    assignments = make_stratified_folds(labels, k=10, seed=0)
     for fold in range(10):
-        test = [i for i, f in enumerate(plan.assignments) if f == fold]
+        test = [i for i, f in enumerate(assignments) if f == fold]
         assert len(test) == 10
         assert sum(1 for i in test if labels[i] is C) == 6
 
 
 def test_stratified_folds_uneven_classes_stay_within_one():
     labels = [C] * 7 + [I] * 6
-    plan = make_stratified_folds(labels, k=10, seed=0)
-    sizes = Counter(plan.assignments)
+    sizes = Counter(make_stratified_folds(labels, k=10, seed=0))
     assert max(sizes.values()) - min(sizes[f] for f in range(10)) <= 1
 
 
 @given(st.lists(st.sampled_from([C, I]), min_size=10, max_size=120),
        st.integers(2, 10), st.integers(0, 5))
 def test_fold_sizes_never_differ_by_more_than_one(labels, k, seed):
-    plan = make_stratified_folds(labels, k=k, seed=seed)
-    sizes = [plan.assignments.count(f) for f in range(k)]
+    assignments = make_stratified_folds(labels, k=k, seed=seed)
+    sizes = [assignments.count(f) for f in range(k)]
     assert sum(sizes) == len(labels)
     assert max(sizes) - min(sizes) <= 1
+    # cross_validate relies on this: every fold is tested on at least one
+    # sample, so every training split leaves at least one out of k >= 2.
+    assert min(sizes) >= 1
 
 
 def test_stratified_folds_deterministic_and_seed_sensitive():
@@ -85,11 +85,9 @@ def separable_dataset(n_correct=20, n_incorrect=20):
 
 def test_cross_validate_separable_corpus_is_perfect():
     data = separable_dataset()
-    plan = make_stratified_folds([s.label for s in data.samples], k=10, seed=0)
-    result = cross_validate(data, TrainConfig(), plan)
+    result = cross_validate(data, min_gain=0.0, k=10, seed=0)
     assert result.accuracy == 1.0
     assert sum(n for _, n in result.per_fold) == len(data)
-    assert result.average_grade == 0.5
 
 
 def test_cross_validate_pools_hits_across_folds():
@@ -102,28 +100,16 @@ def test_cross_validate_pools_hits_across_folds():
         label = C if rng.random() < 0.5 else I
         pairs[f"{noise} id{i}"] = label
     data = dataset(list(pairs.items()))
-    plan = make_stratified_folds([s.label for s in data.samples], k=10, seed=0)
-    result = cross_validate(data, TrainConfig(), plan)
+    result = cross_validate(data, min_gain=0.0, k=10, seed=0)
     hits = sum(h for h, _ in result.per_fold)
     tested = sum(n for _, n in result.per_fold)
     assert result.accuracy == hits / tested
     assert 0.0 <= result.accuracy < 1.0
 
 
-def test_cross_validate_rejects_mismatched_plan():
-    data = separable_dataset(6, 6)
-    plan = make_stratified_folds([C] * 5 + [I] * 5, k=5)
-    with pytest.raises(FoldError, match="fold plan covers 10"):
-        cross_validate(data, TrainConfig(), plan)
-
-
-@pytest.mark.parametrize("fold", [2, -1])
-def test_cross_validate_rejects_a_fold_outside_the_plan(fold):
-    data = separable_dataset(3, 3)
-    plan = FoldPlan(2, 0, (0, 1, 0, 1, 0, fold))
-    with pytest.raises(FoldError) as raised:
-        cross_validate(data, TrainConfig(), plan)
-    assert str(raised.value) == f"sample 5 is assigned fold {fold}, outside 0..1"
+def test_cross_validate_rejects_more_folds_than_samples():
+    with pytest.raises(FoldError, match="cannot make 13 folds from 12 samples"):
+        cross_validate(separable_dataset(6, 6), min_gain=0.0, k=13, seed=0)
 
 
 # --- correlation statistics --------------------------------------------------

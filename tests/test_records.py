@@ -26,9 +26,8 @@ def _records():
     """One instance of every public record type, made by the functions that
     make them in a run."""
     data = _dataset()
-    tree = dtree.build_tree(data, dtree.TrainConfig(), trained_at="2020-06-15")
-    plan = evaluation.make_stratified_folds([s.label for s in data.samples], 3, 1)
-    accuracy = evaluation.cross_validate(data, dtree.TrainConfig(), plan)
+    tree = dtree.build_tree(data, trained_at="2020-06-15")
+    accuracy = evaluation.cross_validate(data, min_gain=0.0, k=3, seed=1)
     rows = [
         QuestionRow(f"q{n}", grade, 0.5 + grade / 2, 10 + n, 5 + n, 7 - n)
         for n, grade in enumerate((0.2, 0.45, 0.5, 0.9))
@@ -40,12 +39,10 @@ def _records():
         data.index,
         corpus.parse_answer_file("question_id,answer,label\nq,alpha,correct\n", "csv")[0],
         corpus.validate_dataset([AnswerRecord("q", "the", C)]),
-        tree.config,
         tree,
         dtree.evaluate_split(data.samples, "alpha", dtree.entropy(6, 6)),
         classify(tree, preprocess("alpha wrong")).trace[0],
         classify(tree, preprocess("alpha wrong")),
-        plan,
         accuracy,
         report.correlations["average_grade"],
         rows[0],
@@ -68,12 +65,12 @@ def _record_types():
 
 def test_every_record_type_is_covered():
     assert {type(record) for record in _records()} == _record_types()
-    assert len(_record_types()) == 16
+    assert len(_record_types()) == 14
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_record_round_trips_through_pickle(record):
-    # evaluate's workers send QuestionAccuracy records back pickled.
+    # evaluate's workers send QuestionRow records back pickled.
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     assert copy == record

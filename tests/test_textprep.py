@@ -134,4 +134,4 @@ def test_unique_word_counts_equal_the_set_union_counts(samples):
         everything |= sample.features
         (correct if sample.label is Label.CORRECT else incorrect).update(sample.features)
     counts = unique_word_counts(dataset)
-    assert counts == ("q", len(everything), len(correct), len(incorrect))
+    assert counts == (len(everything), len(correct), len(incorrect))
