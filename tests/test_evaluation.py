@@ -112,6 +112,38 @@ def test_cross_validate_rejects_more_folds_than_samples():
         cross_validate(separable_dataset(6, 6), min_gain=0.0, k=13, seed=0)
 
 
+@pytest.mark.parametrize("k", [1, 0, -1])
+def test_cross_validate_rejects_fewer_than_two_folds(k):
+    with pytest.raises(FoldError) as raised:
+        cross_validate(separable_dataset(6, 6), min_gain=0.0, k=k, seed=0)
+    assert str(raised.value) == f"need at least 2 folds, got k={k}"
+
+
+def test_cross_validate_tests_the_folds_its_seed_deals():
+    data = separable_dataset(13, 8)
+    labels = [s.label for s in data.samples]
+    for k, seed in [(2, 0), (5, 3), (7, 1), (10, 9)]:
+        sizes = Counter(make_stratified_folds(labels, k, seed))
+        result = cross_validate(data, min_gain=0.0, k=k, seed=seed)
+        assert [n for _, n in result.per_fold] == [sizes[f] for f in range(k)]
+
+
+def test_cross_validate_at_k_equal_to_samples_leaves_one_out():
+    data = separable_dataset(3, 3)
+    result = cross_validate(data, min_gain=0.0, k=len(data), seed=0)
+    assert result.per_fold == ((1, 1),) * len(data)
+    assert result.accuracy == 1.0
+
+
+def test_cross_validate_trains_every_fold_with_its_min_gain():
+    # No split gains more than 1 bit, so each fold's tree is one leaf. Every
+    # training split holds 18 of each label, and a tie leaf says incorrect.
+    data = separable_dataset()
+    result = cross_validate(data, min_gain=2.0, k=10, seed=0)
+    assert result.per_fold == ((2, 4),) * 10
+    assert result.accuracy == 0.5
+
+
 # --- correlation statistics --------------------------------------------------
 
 
