@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, TypeVar
+from typing import Callable, TextIO, TypeVar
 
 from . import corpus, dtree, evaluation, textprep
 
@@ -24,23 +24,27 @@ DEFAULT_CERTAINTY_THRESHOLD = 0.70
 _J, _R = TypeVar("_J"), TypeVar("_R")
 
 
-def _is_stdout(info: os.stat_result) -> bool:
-    """Whether ``info`` is the file this process's stdout writes to."""
-    try:
-        return os.path.samestat(info, os.fstat(sys.stdout.fileno()))
-    except (AttributeError, OSError, ValueError):  # no stdout, or no file behind it
-        return False
+def _stream_to(info: os.stat_result) -> TextIO | None:
+    """Which of stdout and stderr writes to the file ``info`` describes;
+    None if neither does."""
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if os.path.samestat(info, os.fstat(stream.fileno())):
+                return stream
+        except (AttributeError, OSError, ValueError):  # no stream, or no file behind it
+            pass
+    return None
 
 
 def _atomic_write(path: Path, content: str) -> None:
     """Write ``content`` as UTF-8 to the file ``path`` names. The file stdout
-    writes to, such as ``/dev/stdout``, is written through stdout, after
-    what was printed before; replacing it would drop that text, and send
-    what is printed after to the replaced file. Any other FIFO or character
-    device is written directly. Otherwise a temporary file beside the
-    target, through any symlink, replaces it whole; it keeps the mode of the
-    file it replaces, and a new file gets ``0o666`` less the umask, as
-    ``open`` would give it."""
+    or stderr writes to, such as ``/dev/stdout``, is written through that
+    stream, after what was printed before; replacing it would drop that
+    text, and send what is printed after to the replaced file. Any other
+    FIFO or character device is written directly. Otherwise a temporary file
+    beside the target, through any symlink, replaces it whole; it keeps the
+    mode of the file it replaces, and a new file gets ``0o666`` less the
+    umask, as ``open`` would give it."""
     import tempfile  # here: explain writes no file
 
     try:
@@ -51,10 +55,11 @@ def _atomic_write(path: Path, content: str) -> None:
         mode = 0o666 & ~umask
     else:
         mode = info.st_mode
-        if _is_stdout(info):
-            sys.stdout.flush()
-            sys.stdout.buffer.write(content.encode("utf-8"))
-            sys.stdout.buffer.flush()
+        stream = _stream_to(info)
+        if stream is not None:
+            stream.flush()
+            stream.buffer.write(content.encode("utf-8"))
+            stream.buffer.flush()
             return
     if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
         with open(path, "w", encoding="utf-8") as handle:

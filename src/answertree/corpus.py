@@ -60,9 +60,6 @@ class Label(Enum):
             return cls.INCORRECT
         raise ValueError(f"unknown label token {token!r}")
 
-    def __str__(self) -> str:
-        return self.value
-
 
 class AnswerRecord(NamedTuple):
     """One student answer, verbatim, with its expert grade."""

@@ -48,18 +48,15 @@ class DecisionTree(_TreeFields):
     NamedTuple base; with no ``__slots__`` here, a tree has a dict for memos.
     """
 
-    def vocabulary(self) -> frozenset[str]:
-        """All words tested anywhere in the tree."""
-        return self._vocabulary
-
     # Built on first use and kept in the instance dict: not a tuple field,
     # so it stays out of __eq__, __hash__ and __repr__.
     @cached_property
-    def _vocabulary(self) -> frozenset[str]:
+    def vocabulary(self) -> frozenset[str]:
+        """All words tested anywhere in the tree."""
         return frozenset(w for w in self.words if w is not None)
 
     # Each reached leaf's result, keyed as in ``classify``; kept like
-    # ``_vocabulary``.
+    # ``vocabulary``.
     @cached_property
     def _results(self) -> dict[int, Classification]:
         return {}
@@ -80,16 +77,6 @@ def _tree(
 ) -> DecisionTree:
     """The tree whose nodes are ``rows``, as ``_add`` laid them out."""
     return DecisionTree(question_id, *map(tuple, zip(*rows)), min_gain, trained_at)
-
-
-class SplitEvaluation(NamedTuple):
-    word: str
-    true_size: int
-    false_size: int
-    true_entropy: float
-    false_entropy: float
-    split_entropy: float
-    gain: float
 
 
 class TraceStep(NamedTuple):
@@ -145,65 +132,32 @@ def entropy(correct: int, incorrect: int) -> float:
     return result
 
 
-def _split_entropies(
-    true_correct: int, true_size: int, correct: int, total: int, current_entropy: float
-) -> tuple[float, float, float]:
-    """The true side's, the false side's and the weighted split entropy of a
-    split with these class counts: the one place the gain formula lives.
-    ``true_*`` count the samples containing the word; ``correct`` and
-    ``total`` count all of them."""
-    false_size = total - true_size
-    false_correct = correct - true_correct
-    true_entropy = entropy(true_correct, true_size - true_correct) if true_size else 0.0
-    false_entropy = (
-        entropy(false_correct, false_size - false_correct) if false_size else 0.0
-    )
-    if not true_size or not false_size:
-        # A vacuous split leaves the set intact; keep the gain exactly zero
-        # rather than letting the weighted average round off by an ulp.
-        return true_entropy, false_entropy, current_entropy
-    split_entropy = (true_size * true_entropy + false_size * false_entropy) / total
-    return true_entropy, false_entropy, split_entropy
-
-
 def _gain(
     true_correct: int, true_size: int, correct: int, total: int, current_entropy: float
 ) -> float:
-    """Information gain of a split with these class counts; the same float as
-    ``_split_from_counts(...).gain`` without building the record."""
-    split_entropy = _split_entropies(
-        true_correct, true_size, correct, total, current_entropy
-    )[2]
+    """Information gain of a split with these class counts: the one place the
+    gain formula lives. ``true_*`` count the samples containing the word;
+    ``correct`` and ``total`` count all of them."""
+    false_size = total - true_size
+    if not true_size or not false_size:
+        # A vacuous split leaves the set intact; keep the gain exactly zero
+        # rather than letting the weighted average round off by an ulp.
+        return 0.0
+    false_correct = correct - true_correct
+    true_entropy = entropy(true_correct, true_size - true_correct)
+    false_entropy = entropy(false_correct, false_size - false_correct)
+    split_entropy = (true_size * true_entropy + false_size * false_entropy) / total
     return current_entropy - split_entropy
-
-
-def _split_from_counts(
-    word: str,
-    true_correct: int,
-    true_size: int,
-    correct: int,
-    total: int,
-    current_entropy: float,
-) -> SplitEvaluation:
-    """Score a split from its class counts."""
-    true_entropy, false_entropy, split_entropy = _split_entropies(
-        true_correct, true_size, correct, total, current_entropy
-    )
-    return SplitEvaluation(
-        word, true_size, total - true_size,
-        true_entropy, false_entropy, split_entropy, current_entropy - split_entropy,
-    )
 
 
 def evaluate_split(
     samples: list[Sample] | tuple[Sample, ...], word: str, current_entropy: float
-) -> SplitEvaluation:
-    """Score splitting ``samples`` on presence of ``word``."""
+) -> float:
+    """The information gain of splitting ``samples`` on presence of ``word``."""
     if not samples:
         raise ValueError("cannot evaluate a split of zero samples")
     true_side = [s for s in samples if word in s.features]
-    return _split_from_counts(
-        word,
+    return _gain(
         sum(s.label is Label.CORRECT for s in true_side),
         len(true_side),
         sum(s.label is Label.CORRECT for s in samples),
@@ -230,8 +184,9 @@ def select_best_rule(
     candidate_words: Iterable[str],
     current_entropy: float,
     min_gain: float = 0.0,
-) -> tuple[str, SplitEvaluation] | None:
-    """Pick the candidate word with the greatest information gain.
+) -> tuple[str, float] | None:
+    """Pick the candidate word with the greatest information gain, as
+    ``(word, gain)``.
 
     ``samples`` is a sequence of samples, which is indexed on entry, or a
     node of the grower, whose candidates must already be sorted. Each
@@ -256,7 +211,6 @@ def select_best_rule(
     gains: dict[tuple[int, int], float] = {}
     best_word: str | None = None
     best_gain = 0.0
-    best_counts = (0, 0)
     for word in words:
         true_mask = mask & word_masks.get(word, 0)
         true_size = true_mask.bit_count()
@@ -268,12 +222,10 @@ def select_best_rule(
         if gain is None:
             gain = gains[key] = _gain(*key, correct, total, current_entropy)
         if best_word is None or gain > best_gain:
-            best_word, best_gain, best_counts = word, gain, key
+            best_word, best_gain = word, gain
     if best_word is None or best_gain <= min_gain + GAIN_TOLERANCE:
         return None
-    return best_word, _split_from_counts(
-        best_word, *best_counts, correct, total, current_entropy
-    )
+    return best_word, best_gain
 
 
 def build_tree(
@@ -337,7 +289,7 @@ def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classif
     index = 0
     while (word := words[index]) is not None:
         index = (true_index if word in features else false_index)[index]
-    key = -1 if tree._vocabulary.isdisjoint(features) else index
+    key = -1 if tree.vocabulary.isdisjoint(features) else index
     result = tree._results.get(key)
     if result is None:
         result = tree._results[key] = _leaf_result(tree, features, key == -1)

@@ -173,10 +173,10 @@ def test_criterion_4a_entropy_and_gain_properties():
             sum(1 for s in samples if s.label is I),
         )
         for word in pool:
-            gain = evaluate_split(samples, word, current).gain
+            gain = evaluate_split(samples, word, current)
             assert gain >= -1e-12  # splitting never loses information
         # A word present in no sample (or all) is a vacuous split: gain 0.
-        assert evaluate_split(samples, "absent", current).gain == 0.0
+        assert evaluate_split(samples, "absent", current) == 0.0
     ok("criterion 4a — entropy/gain symmetry, bounds, 0·log0, non-negative gain")
 
 

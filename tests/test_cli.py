@@ -1186,7 +1186,7 @@ def test_out_into_a_fifo_writes_through_it(tmp_path, example_tree_path):
     assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
 
 
-def _run_cli(args, stdout=subprocess.PIPE, **env):
+def _run_cli(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
     """``python -m answertree`` with ``args`` in a subprocess, with ``env``
     added to the environment; its output is bytes."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
@@ -1194,7 +1194,7 @@ def _run_cli(args, stdout=subprocess.PIPE, **env):
         [sys.executable, "-m", "answertree", *args],
         env=dict(os.environ, PYTHONPATH=path, **env),
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
     )
 
 
@@ -1217,6 +1217,30 @@ def test_out_that_is_stdout_goes_between_the_printed_lines(
     assert (done.returncode, done.stderr) == (0, b"")
     before = b"old\n" if mode == "ab" else b""
     assert log.read_bytes() == before + report.read_bytes() + printed
+    assert {p.name for p in tmp_path.glob(".*")} == set()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stderr"), reason="no /dev/stderr")
+@pytest.mark.parametrize("mode", ["wb", "ab"], ids=["2>", "2>>"])
+def test_out_that_is_stderr_is_written_through_stderr(
+    tmp_path, capsys, reference_tables_path, mode
+):
+    # Under "2> err" or "2>> err", /dev/stderr names the log itself. The
+    # report goes through stderr into that same file, after what was there
+    # before (with "2>>"); replacing the file would cut stderr off from it.
+    report = tmp_path / "stats.json"
+    argv = ["stats", "--fixture", str(reference_tables_path), "--out"]
+    assert main([*argv, str(report)]) == 0
+    printed = capsys.readouterr().out.encode("utf-8")
+    log = tmp_path / "err.txt"
+    log.write_bytes(b"old\n")
+    inode = log.stat().st_ino
+    with open(log, mode) as stderr:
+        done = _run_cli([*argv, "/dev/stderr"], stderr=stderr)
+    assert (done.returncode, done.stdout) == (0, printed)
+    before = b"old\n" if mode == "ab" else b""
+    assert log.read_bytes() == before + report.read_bytes()
+    assert log.stat().st_ino == inode
     assert {p.name for p in tmp_path.glob(".*")} == set()
 
 

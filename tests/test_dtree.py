@@ -23,7 +23,6 @@ from answertree.dtree import (
     TreeFormatError,
     _gain,
     _Node,
-    _split_from_counts,
     build_tree,
     classify,
     deserialize_tree,
@@ -104,33 +103,27 @@ FOUR = [
 
 
 def test_evaluate_split_hand_computed():
-    ev = evaluate_split(FOUR, "papillary", 1.0)
-    assert (ev.true_size, ev.false_size) == (1, 3)
-    assert ev.true_entropy == 0.0
-    assert ev.false_entropy == pytest.approx(0.9182958340544896)
-    assert ev.split_entropy == pytest.approx(0.688721875540867)
-    assert ev.gain == pytest.approx(0.311278124459133)
+    # "papillary" splits off one correct answer (entropy 0) from three with
+    # one correct (entropy 0.918...), a split entropy of 3/4 * 0.918...
+    assert evaluate_split(FOUR, "papillary", 1.0) == pytest.approx(0.311278124459133)
 
 
 def test_evaluate_split_vacuous_word_gains_nothing():
-    ev = evaluate_split(FOUR, "ventricle", 1.0)
-    assert ev.true_size == 0
-    assert ev.gain == 0.0
+    assert evaluate_split(FOUR, "ventricle", 1.0) == 0.0
 
 
 def test_evaluate_split_perfect_separator_gains_everything():
     samples = [sample("alpha x", C), sample("alpha y", C), sample("z", I), sample("w", I)]
-    ev = evaluate_split(samples, "alpha", 1.0)
-    assert ev.gain == pytest.approx(1.0)
+    assert evaluate_split(samples, "alpha", 1.0) == pytest.approx(1.0)
 
 
 def test_select_best_rule_breaks_ties_lexicographically():
     words = frozenset().union(*(s.features for s in FOUR))
     choice = select_best_rule(FOUR, words, 1.0)
     assert choice is not None
-    word, ev = choice
+    word, gain = choice
     assert word == "apparatus"
-    assert ev.gain == pytest.approx(0.311278124459133)
+    assert gain == pytest.approx(0.311278124459133)
 
 
 def test_select_best_rule_none_when_pure_or_no_candidates():
@@ -155,9 +148,10 @@ def test_select_best_rule_never_returns_a_vacuous_split():
     assert select_best_rule(wall_pair, frozenset({"wall"}), 1.0, min_gain=-1.0) is None
     assert select_best_rule(FOUR, frozenset({"ventricle"}), 1.0, min_gain=-1.0) is None
     words = frozenset({"papillary", "wall"})
-    word, ev = select_best_rule(WALL, words, entropy(2, 1), min_gain=-1.0)
+    word, gain = select_best_rule(WALL, words, entropy(2, 1), min_gain=-1.0)
     assert word == "papillary"
-    assert (ev.true_size, ev.false_size) == (1, 2)
+    # One pure sample against a one-one pair, not the vacuous gain of 0.0.
+    assert gain == pytest.approx(entropy(2, 1) - 2 / 3)
 
 
 def test_build_tree_negative_min_gain_grows_no_empty_child():
@@ -225,7 +219,7 @@ def test_select_best_rule_matches_brute_force_oracle():
         else:
             assert got is not None
             assert got[0] == want[0]
-            assert got[1].gain == pytest.approx(want[1], abs=1e-12)
+            assert got[1] == pytest.approx(want[1], abs=1e-12)
 
 
 # --- training ----------------------------------------------------------------
@@ -365,18 +359,19 @@ def _reference_grow(samples, path_words, min_gain):
         return leaf
     current = entropy(correct, incorrect)
     candidates = frozenset().union(*(s.features for s in samples)) - path_words
-    best = None
+    best = None  # (gain, word)
     for word in sorted(candidates):
-        evaluation = evaluate_split(samples, word, current)
-        if best is None or evaluation.gain > best.gain:
-            best = evaluation
-    if best is None or best.gain <= min_gain + GAIN_TOLERANCE:
+        gain = evaluate_split(samples, word, current)
+        if best is None or gain > best[0]:
+            best = (gain, word)
+    if best is None or best[0] <= min_gain + GAIN_TOLERANCE:
         return leaf
-    true_side = tuple(s for s in samples if best.word in s.features)
-    false_side = tuple(s for s in samples if best.word not in s.features)
-    deeper = path_words | {best.word}
+    word = best[1]
+    true_side = tuple(s for s in samples if word in s.features)
+    false_side = tuple(s for s in samples if word not in s.features)
+    deeper = path_words | {word}
     return {
-        "word": best.word,
+        "word": word,
         **leaf,
         "true": _reference_grow(true_side, deeper, min_gain),
         "false": _reference_grow(false_side, deeper, min_gain),
@@ -402,7 +397,7 @@ def _root_has_gain_tie(samples):
         return False
     current = entropy(correct, len(samples) - correct)
     words = sorted(frozenset().union(*(s.features for s in samples)))
-    gains = [evaluate_split(samples, w, current).gain for w in words]
+    gains = [evaluate_split(samples, w, current) for w in words]
     top = max(gains, default=0.0)
     return top > GAIN_TOLERANCE and gains.count(top) > 1
 
@@ -584,18 +579,35 @@ def test_cached_entropy_equals_the_uncached_function_bit_for_bit():
             assert entropy(correct, total - correct).hex() == want.hex()
 
 
-def test_gain_helper_equals_the_split_record_gain_bit_for_bit():
+def _first_principles_entropy(correct, total):
+    """Entropy in bits of ``correct`` of ``total`` samples, from the
+    definition: minus the sum of p*log2(p) over the nonzero class shares."""
+    return -sum(p * math.log2(p) for p in (correct / total, 1 - correct / total) if p)
+
+
+def test_gain_equals_the_first_principles_gain_on_every_count():
     checked = 0
     for total in range(1, 41):
         for correct in range(total + 1):
             current = entropy(correct, total - correct)
             for true_size in range(total + 1):
-                low = max(0, correct - (total - true_size))
+                false_size = total - true_size
+                low = max(0, correct - false_size)
                 for true_correct in range(low, min(true_size, correct) + 1):
-                    counts = (true_correct, true_size, correct, total, current)
-                    want = _split_from_counts("w", *counts).gain
-                    assert _gain(*counts).hex() == want.hex(), counts
+                    counts = (true_correct, true_size, correct, total)
+                    got = _gain(*counts, current)
                     checked += 1
+                    if not true_size or not false_size:
+                        assert got.hex() == (0.0).hex(), counts  # a vacuous split
+                        continue
+                    true_part = true_size * _first_principles_entropy(true_correct, true_size)
+                    false_part = false_size * _first_principles_entropy(
+                        correct - true_correct, false_size
+                    )
+                    want = _first_principles_entropy(correct, total) - (
+                        true_part + false_part
+                    ) / total
+                    assert abs(got - want) <= 1e-12, counts
     assert checked > 100_000
 
 
@@ -651,7 +663,7 @@ def test_classify_out_of_vocabulary(example_tree):
 
 def test_classify_never_tests_the_same_word_twice(example_tree):
     rng = random.Random(3)
-    vocab = list(example_tree.vocabulary()) + ["other"]
+    vocab = list(example_tree.vocabulary) + ["other"]
     for _ in range(100):
         features = frozenset(w for w in vocab if rng.random() < 0.5)
         trace = classify(example_tree, features).trace
@@ -664,8 +676,8 @@ def test_vocabulary_is_kept_out_of_equality_and_hashing(example_tree_path):
     text = example_tree_path.read_text(encoding="utf-8")
     used, fresh = deserialize_tree(text), deserialize_tree(text)
     first = classify(used, frozenset({"papillary", "muscles"}))
-    assert used.vocabulary() is used.vocabulary()
-    assert "_vocabulary" in vars(used) and "_vocabulary" not in vars(fresh)
+    assert used.vocabulary is used.vocabulary
+    assert "vocabulary" in vars(used) and "vocabulary" not in vars(fresh)
     assert used == fresh and hash(used) == hash(fresh)
     assert repr(used) == repr(fresh)
     # Reusing the vocabulary and the leaf results changes no result.
@@ -820,7 +832,7 @@ def test_classify_matches_the_nested_node_walk(example_tree):
     assert max(_depth(_root(t)) for t in trees) >= 4
     for tree in trees:
         words = _reference_vocabulary(_root(tree))
-        assert tree.vocabulary() == words
+        assert tree.vocabulary == words
         for features in _feature_sets(rng, words, 40):
             assert classify(tree, features) == _reference_classify(tree, features)
 
@@ -884,7 +896,7 @@ def test_all_false_leaf_keeps_in_and_out_of_vocabulary_results_apart(
     example = deserialize_tree(example_tree_path.read_text(encoding="utf-8"))
     for tree in (example, _chain_tree(6)):
         inside, outside = _all_false_answers(tree)
-        assert inside and tree.vocabulary().isdisjoint(outside)
+        assert inside and tree.vocabulary.isdisjoint(outside)
         for features in [inside, outside] if inside_first else [outside, inside]:
             assert classify(tree, features) == _reference_classify(tree, features)
         assert not classify(tree, inside).out_of_vocabulary
@@ -915,7 +927,7 @@ def test_classify_builds_only_the_reached_leafs_result_on_a_deep_chain():
 def test_explain_renders_the_same_as_the_nested_node_walk(example_tree):
     rng = random.Random(8)
     for tree in (example_tree, _chain_tree(40)):
-        for features in _feature_sets(rng, tree.vocabulary(), 200):
+        for features in _feature_sets(rng, tree.vocabulary, 200):
             want = explain(_reference_classify(tree, features))
             assert explain(classify(tree, features)) == want
 
@@ -1016,7 +1028,7 @@ def test_reference_tree_document_structure(example_tree, example_tree_path):
             stack.append(node["true"])
             stack.append(node["false"])
     assert internal == 5
-    assert example_tree.vocabulary() == {"muscles", "papillary", "atrial", "subvalvular", "apparatus"}
+    assert example_tree.vocabulary == {"muscles", "papillary", "atrial", "subvalvular", "apparatus"}
 
 
 def test_deserialize_rejects_one_sided_children():
