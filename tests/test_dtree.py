@@ -507,6 +507,25 @@ def test_select_best_rule_scores_a_grower_node_like_its_samples():
     assert kept > 1000 and dropped > 1000
 
 
+def test_select_best_rule_gain_equals_evaluate_split_of_its_word_bit_for_bit():
+    # select_best_rule counts a word's samples from masks, evaluate_split from
+    # the samples themselves; both must hand _gain the same counts.
+    rng = random.Random(20261021)
+    chosen = 0
+    for case in range(300):
+        data, min_gain = _random_case(rng, case)
+        samples = list(data.samples)
+        correct = sum(1 for s in samples if s.label is C)
+        current = entropy(correct, len(samples) - correct)
+        choice = select_best_rule(samples, frozenset(POOL + ["twin"]), current, min_gain)
+        if choice is None:
+            continue
+        word, gain = choice
+        assert gain.hex() == evaluate_split(samples, word, current).hex()
+        chosen += 1
+    assert chosen > 100
+
+
 def test_grower_calls_select_best_rule_once_per_impure_node(monkeypatch):
     calls = []
 
