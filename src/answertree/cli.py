@@ -107,11 +107,6 @@ def _load_prep(stopwords_path: str | None) -> frozenset[str]:
         raise corpus.CorpusError(f"{stopwords_path}: {exc}") from None
 
 
-def _load_records(path_str: str) -> list[corpus.AnswerRecord]:
-    path = Path(path_str)
-    return corpus.parse_answer_file(_read_text(path), _file_format(path))
-
-
 class UsageError(Exception):
     """An option or environment setting the command cannot use (exit 2)."""
 
@@ -137,7 +132,9 @@ def _per_question(
     """``work`` on each question's dataset, in question order. A question is
     one job that validates and ingests its records and runs ``work``; once
     all are done, every failed validation is reported."""
-    groups = list(corpus.group_records(_load_records(answers)).values())
+    path = Path(answers)
+    records = corpus.parse_answer_file(_read_text(path), _file_format(path))
+    groups = list(corpus.group_records(records).values())
 
     def job(group: list[corpus.AnswerRecord]) -> tuple[bool, _R | str]:
         report = corpus.validate_dataset(group, stopwords)
@@ -232,11 +229,10 @@ def cmd_grade(args: argparse.Namespace) -> int:
     trees = _load_trees(args.trees)
     path = Path(args.answers)
     pairs = corpus.parse_ungraded_file(_read_text(path), _file_format(path))
-    lines: list[str] = []
-    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
-    writer.writerow(
-        ["question_id", "answer", "label", "certainty", "flagged", "critical_word"]
-    )
+    # writerow returns what write returns, and str hands back the very line.
+    to_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
+    lines = [to_line(header)]
     # A row's line is its (question, answer) pair written as CSV, then a
     # tail ",label,certainty,flagged,critical_word\n"; CSV quotes each field
     # on its own, so the joined line has the bytes of the six-field row.
@@ -245,40 +241,36 @@ def cmd_grade(args: argparse.Namespace) -> int:
     # fields per distinct pair instead of six pays for the pair map below on
     # batches where every pair is new.
     tails: dict[int, str] = {}
-    writer.writerow(("", "incorrect", "1.0000", "false", ""))
-    blank_tail = lines.pop()
+    blank_tail = to_line(("", "incorrect", "1.0000", "false", ""))
     # The line depends only on the pair, so each distinct pair is graded
-    # once and its line reused: question -> answer -> line.
-    graded: dict[str, dict[str, str]] = {}
-    for question_id, answer in pairs:
-        seen = graded.get(question_id)
-        if seen is None:
-            if question_id not in trees:
+    # once and its line reused. The first row of a question is always a
+    # miss, so an unknown question is reported there.
+    graded: dict[tuple[str, str], str] = {}
+    for pair in pairs:
+        line = graded.get(pair)
+        if line is None:
+            question_id, answer = pair
+            tree = trees.get(question_id)
+            if tree is None:
                 print(f"no trained tree for question {question_id!r}", file=sys.stderr)
                 return 1
-            seen = graded[question_id] = {}
-        line = seen.get(answer)
-        if line is None:
             if not answer.strip():
                 # A blank exam answer earns zero; blanks never reach the trees.
                 tail = blank_tail
             else:
-                words = textprep.preprocess(answer, stopwords)
-                result = dtree.classify(trees[question_id], words)
+                result = dtree.classify(tree, textprep.preprocess(answer, stopwords))
                 tail = tails.get(id(result))
                 if tail is None:
                     certainty = result.certainty
                     flagged = certainty < args.threshold or result.out_of_vocabulary
-                    writer.writerow((
+                    tail = tails[id(result)] = to_line((
                         "",
                         result.label.value,
                         f"{certainty:.4f}",
                         "true" if flagged else "false",
                         result.critical_word or "",
                     ))
-                    tail = tails[id(result)] = lines.pop()
-            writer.writerow((question_id, answer))
-            line = seen[answer] = lines.pop()[:-1] + tail
+            line = graded[pair] = to_line(pair)[:-1] + tail
         lines.append(line)
     _atomic_write(Path(args.out), "".join(lines))
     return 0

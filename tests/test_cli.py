@@ -1382,7 +1382,8 @@ hostile_text = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
 def input_files(draw, columns):
     """A file suffix and content: hostile text, raw bytes, or rows laid out
     as a file with ``columns`` in either format. The rows' answers are
-    hostile text; their ids and labels are valid or hostile text too."""
+    hostile text; their ids and other fields, drawn like labels, are valid
+    or hostile text too."""
     suffix = draw(st.sampled_from([".csv", ".json"]))
     kind = draw(st.sampled_from(["text", "bytes", "rows", "rows"]))
     if kind == "bytes":
@@ -1394,7 +1395,7 @@ def input_files(draw, columns):
             ids, labels = st.sampled_from(["q1", "q2"]), st.sampled_from(["1", "0"])
         else:
             ids = labels = hostile_text
-        fields = (ids, hostile_text, labels)[: len(columns)]
+        fields = [ids, *(hostile_text if c == "answer" else labels for c in columns[1:])]
         rows = draw(st.lists(st.tuples(*fields), max_size=8))
         if suffix == ".json":
             text = json.dumps([dict(zip(columns, row)) for row in rows])
@@ -1425,3 +1426,96 @@ def test_train_and_grade_survive_hostile_input(answers_file, batch_file):
         names = {answers.name, batch.name, trees.name, graded.name}
         assert {p.name for p in work.iterdir()} <= names
         assert all(p.parent == trees for p in trees.rglob("*"))
+
+
+# Tokens of a tree document: its values, including ones no field takes (a
+# float too large to hold, a lone surrogate escape, null), keys and brackets.
+TREE_VALUES = [
+    '"correct"', '"incorrect"', '"q1"', '"alpha"', "0", "1", "2", "-1", "0.5",
+    "1e400", '"\\ud800"', "null", "true", "false", "[]", "{}",
+]
+TREE_TOKENS = [
+    *TREE_VALUES, '"question_id"', '"trained_at"', '"config"', '"min_gain"',
+    '"leaf_tie_label"', '"root"', '"word"', '"label"', '"count"', '"size"',
+    '"true"', '"false"', "{", "}", "[", "]", ":", ",",
+]
+
+
+@st.composite
+def tree_texts(draw):
+    """Tree file text made of tree document tokens: a run of tokens, or a
+    document of the tree's shape in which each key is dropped, and each
+    value swapped for a token from TREE_VALUES, at one drawn rate: never,
+    3% or 30% of the time."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from(TREE_TOKENS), max_size=40)))
+    chance = draw(st.sampled_from([0, 3, 30]))
+
+    def hit():
+        return draw(st.integers(0, 99)) < chance
+
+    def value(good):
+        return draw(st.sampled_from(TREE_VALUES)) if hit() else good
+
+    def document(fields):
+        return "{" + ", ".join(f"{key}: {text}" for key, text in fields if not hit()) + "}"
+
+    def node(depth):
+        size = draw(st.integers(1, 3))
+        fields = [
+            ('"label"', value(draw(st.sampled_from(['"correct"', '"incorrect"'])))),
+            ('"count"', value(str(draw(st.integers(0, size))))),
+            ('"size"', value(str(size))),
+        ]
+        if depth < 3 and draw(st.booleans()):
+            fields += [
+                ('"word"', value(draw(st.sampled_from(['"alpha"', '"beta"'])))),
+                ('"true"', node(depth + 1)),
+                ('"false"', node(depth + 1)),
+            ]
+        return document(fields)
+
+    return document([
+        ('"question_id"', value('"q1"')),
+        ('"trained_at"', value('"2020-06-15T00:00:00+00:00"')),
+        ('"config"', document([('"min_gain"', value("0.0"))])),
+        ('"root"', node(0)),
+    ])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    input_files(CSV_HEADER), input_files(REPORT_CSV_HEADER), tree_texts(), hostile_text
+)
+def test_evaluate_stats_and_explain_survive_hostile_input(
+    answers_file, fixture_file, tree_text, answer
+):
+    cwd_before = sorted(os.listdir())
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        answers = work / ("answers" + answers_file[0])
+        fixture = work / ("fixture" + fixture_file[0])
+        tree = work / "q1.tree.json"
+        answers.write_bytes(answers_file[1])
+        fixture.write_bytes(fixture_file[1])
+        tree.write_text(tree_text, encoding="utf-8")
+        report, stats = work / "report", work / "stats.json"
+        runs = [
+            (["evaluate", "--answers", str(answers), "--k", "2", "--out", str(report)],
+             [report / "report.csv", report / "report.json"]),
+            (["stats", "--fixture", str(fixture), "--out", str(stats)], [stats]),
+            (["explain", "--tree", str(tree), "--answer", answer], []),
+        ]
+        for argv, outputs in runs:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2), argv[0]
+            if code != 0:
+                assert err.getvalue().strip(), argv[0]
+                assert "Traceback" not in err.getvalue(), argv[0]
+                assert not any(path.exists() for path in outputs), argv[0]
+        names = {answers.name, fixture.name, tree.name, report.name, stats.name}
+        assert {p.name for p in work.iterdir()} <= names
+        assert all(p.parent == report for p in report.rglob("*"))
+    assert sorted(os.listdir()) == cwd_before
