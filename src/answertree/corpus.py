@@ -201,7 +201,8 @@ def read_rows(
             where, rows = "row", enumerate(reader, start=1)
         else:
             try:
-                data = json.loads(content, parse_constant=_reject_constant)
+                # A number is read as its text: 1e400 stays "1e400", not "inf".
+                data = json.loads(content, parse_float=str, parse_constant=_reject_constant)
             except (ValueError, RecursionError) as exc:  # also an over-long integer
                 raise AnswerFileError(f"invalid JSON: {exc}") from None
             if not isinstance(data, list):
@@ -249,7 +250,7 @@ def _json_text(column: str, value: object) -> str:
         if not is_utf8(value):
             raise ValueError(f"{column} holds a lone surrogate, which is not text")
         return value
-    if type(value) in (int, float):  # bool is neither
+    if type(value) is int:  # bool is not; a float is already its text
         return str(value)
     kind = {list: "an array", dict: "an object"}.get(type(value)) or json.dumps(value)
     raise ValueError(f"{column} must be text or a number, not {kind}")

@@ -22,6 +22,13 @@ from .corpus import Label, QuestionDataset, Sample, is_utf8
 # from growing the tree past purity.
 GAIN_TOLERANCE = 1e-12
 
+# The most nodes on a root-to-leaf path of a tree file, for the writer and the
+# reader alike, so a file loads on every Python version or on none. json reads
+# a file with one level of recursion per tree level and, on CPython 3.10 and
+# 3.11, fails near 980 levels under the default recursion limit; 900 leaves
+# about 80 frames to the caller.
+MAX_LEVELS = 900
+
 
 class TreeFormatError(Exception):
     """Malformed serialized tree document."""
@@ -30,7 +37,6 @@ class TreeFormatError(Exception):
 class _TreeFields(NamedTuple):
     question_id: str
     words: tuple[str | None, ...]
-    true_index: tuple[int, ...]
     false_index: tuple[int, ...]
     labels: tuple[Label, ...]
     counts: tuple[int, ...]
@@ -41,11 +47,12 @@ class _TreeFields(NamedTuple):
 
 class DecisionTree(_TreeFields):
     """A tree as parallel arrays indexed by node, in preorder: the root at 0,
-    each true subtree before its false one. ``words[i]`` is None for a leaf,
-    whose child indices are -1, and ``counts[i] / sizes[i]`` is the
-    probability of ``labels[i]``. Every field is flat, so ``==`` and
-    ``hash`` do not recurse however deep the tree is. The fields are a
-    NamedTuple base; with no ``__slots__`` here, a tree has a dict for memos.
+    each true subtree before its false one, so a test's true child is the
+    node after it. ``words[i]`` is None for a leaf, whose ``false_index`` is
+    -1, and ``counts[i] / sizes[i]`` is the probability of ``labels[i]``.
+    Every field is flat, so ``==`` and ``hash`` do not recurse however deep
+    the tree is. The fields are a NamedTuple base; with no ``__slots__``
+    here, a tree has a dict for memos.
     """
 
     # Built on first use and kept in the instance dict: not a tuple field,
@@ -62,21 +69,23 @@ class DecisionTree(_TreeFields):
         return {}
 
 
-def _add(rows: list[list], parent: int, branch: bool, row: list) -> int:
-    """Append ``row`` (word, true child, false child, label, count, size) as
-    the true or false child of row ``parent``, or as the root; its index."""
-    index = len(rows)
-    if parent >= 0:
-        rows[parent][1 if branch else 2] = index
-    rows.append(row)
-    return index
-
-
 def _tree(
-    question_id: str, rows: list[list], min_gain: float, trained_at: str
+    question_id: str, rows: list[tuple], min_gain: float, trained_at: str
 ) -> DecisionTree:
-    """The tree whose nodes are ``rows``, as ``_add`` laid them out."""
-    return DecisionTree(question_id, *map(tuple, zip(*rows)), min_gain, trained_at)
+    """The tree whose nodes are ``rows`` of (word, label, count, size), in
+    preorder. After a leaf comes the false child of the deepest test still
+    waiting for one."""
+    words, labels, counts, sizes = map(tuple, zip(*rows))
+    false_index = [-1] * len(words)
+    waiting: list[int] = []  # tests whose false child is to come
+    for index, word in enumerate(words):
+        if word is not None:
+            waiting.append(index)
+        elif waiting:
+            false_index[waiting.pop()] = index + 1
+    return DecisionTree(
+        question_id, words, tuple(false_index), labels, counts, sizes, min_gain, trained_at
+    )
 
 
 class TraceStep(NamedTuple):
@@ -248,11 +257,10 @@ def build_tree(
     root = every & ~held_out
     if not root:
         raise ValueError(f"question {dataset.question_id!r}: empty dataset")
-    rows: list[list] = []
-    # (mask, candidates, index of the parent, whether it is the true child)
-    stack: list[tuple[int, list[str], int, bool]] = [(root, words, -1, False)]
+    rows: list[tuple] = []
+    stack: list[tuple[int, list[str]]] = [(root, words)]  # (mask, candidates)
     while stack:
-        mask, candidates, parent, branch = stack.pop()
+        mask, candidates = stack.pop()
         size = mask.bit_count()
         correct = (mask & correct_mask).bit_count()
         incorrect = size - correct
@@ -268,11 +276,11 @@ def build_tree(
             )
             if choice is not None:
                 word = choice[0]
-        index = _add(rows, parent, branch, [word, -1, -1, label, count, size])
+        rows.append((word, label, count, size))
         if word is not None:
             word_mask = word_masks[word]
-            stack.append((mask & ~word_mask, node.live, index, False))
-            stack.append((mask & word_mask, node.live, index, True))
+            stack.append((mask & ~word_mask, node.live))
+            stack.append((mask & word_mask, node.live))
     return _tree(dataset.question_id, rows, min_gain, trained_at)
 
 
@@ -285,10 +293,10 @@ def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classif
     as other all-false answers, but is flagged out of vocabulary: its result
     is kept under the key -1.
     """
-    words, true_index, false_index = tree.words, tree.true_index, tree.false_index
+    words, false_index = tree.words, tree.false_index
     index = 0
     while (word := words[index]) is not None:
-        index = (true_index if word in features else false_index)[index]
+        index = index + 1 if word in features else false_index[index]
     key = -1 if tree.vocabulary.isdisjoint(features) else index
     result = tree._results.get(key)
     if result is None:
@@ -300,7 +308,7 @@ def _leaf_result(
     tree: DecisionTree, features: frozenset[str] | set[str], out_of_vocabulary: bool
 ) -> Classification:
     """The result of walking ``features`` down ``tree``, with a step per test."""
-    words, true_index, false_index = tree.words, tree.true_index, tree.false_index
+    words, false_index = tree.words, tree.false_index
     labels, counts, sizes = tree.labels, tree.counts, tree.sizes
     visited: list[TraceStep] = []
     # Trailing false tests matched none of the answer's words; the trace ends
@@ -313,7 +321,7 @@ def _leaf_result(
         visited.append(TraceStep(word, branch, labels[index], probability))
         if branch:
             end = len(visited)
-        index = (true_index if branch else false_index)[index]
+        index = index + 1 if branch else false_index[index]
     trace = tuple(visited[:end])
     # max keeps the first of equal steps, so ties go to the earliest.
     critical = max(trace, key=lambda step: step.probability, default=None)
@@ -346,32 +354,12 @@ def explain(classification: Classification) -> str:
     return "\n".join(lines)
 
 
-def _descend(levels: int) -> int:
-    """Recurse ``levels`` deep: a frame per level of a document, as json's
-    reader takes on CPython 3.11 and earlier."""
-    return levels and _descend(levels - 1)
-
-
-def _check_depth(levels: int) -> None:
-    """Raise TreeFormatError for a tree ``levels`` nodes deep that json could
-    not read back under the recursion limit on CPython 3.11 and earlier.
-    The writer and the reader both apply it, so a file one Python version
-    writes or loads, every other one does too."""
-    # Only a document 100 or more levels deep nears the limit. It must fit
-    # under it on every version, with ten frames to spare for a reader's calls.
-    if levels >= 100:
-        try:
-            _descend(levels + 10)
-        except RecursionError:
-            raise TreeFormatError("tree nested too deep") from None
-
-
 def serialize_tree(tree: DecisionTree) -> str:
     """The tree as a v1 document: the text of ``json.dumps(document,
     indent=2)`` and a newline, written in one pass over the preorder arrays.
     A node's true child comes next; after a leaf comes the false child of the
-    deepest node still waiting for one. A tree too deep for json to read back
-    under the recursion limit raises TreeFormatError."""
+    deepest node still waiting for one. A tree with more than MAX_LEVELS
+    levels raises TreeFormatError."""
     quote = encode_basestring_ascii
     label_text = {label: quote(label.value) for label in Label}
     parts = [
@@ -404,7 +392,8 @@ def serialize_tree(tree: DecisionTree) -> str:
             parts.append(f',{keys[parent]}"false": ')
             depth = parent + 1
     parts += [*ends[:depth][::-1], "\n}\n"]
-    _check_depth(len(keys))
+    if len(keys) > MAX_LEVELS:  # keys holds an entry per level
+        raise TreeFormatError("tree nested too deep")
     return "".join(parts)
 
 
@@ -435,16 +424,13 @@ def deserialize_tree(text: str) -> DecisionTree:
     # rejected rather than overflowing float().
     if not (number and 0.0 <= min_gain <= sys.float_info.max):
         raise TreeFormatError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
-    rows: list[list] = []
-    # (node object, its path for messages, index of the parent, whether it
-    # is the true child, its level), popped in preorder
-    stack: list[tuple[object, str, int, bool, int]] = [
-        (document["root"], "root", -1, False, 1)
-    ]
-    levels = 0
+    rows: list[tuple] = []
+    # (node object, its path for messages, its level), popped in preorder
+    stack: list[tuple[object, str, int]] = [(document["root"], "root", 1)]
     while stack:
-        obj, where, parent, branch, level = stack.pop()
-        levels = max(levels, level)
+        obj, where, level = stack.pop()
+        if level > MAX_LEVELS:
+            raise TreeFormatError("tree nested too deep")
         if not isinstance(obj, dict):
             raise TreeFormatError(f"{where}: node must be an object")
         try:
@@ -472,10 +458,10 @@ def deserialize_tree(text: str) -> DecisionTree:
                 raise TreeFormatError(f"{where}: word holds a lone surrogate")
             if not (has_true and has_false):
                 raise TreeFormatError(f"{where}: internal node needs both children")
-        index = _add(rows, parent, branch, [word, -1, -1, label, count, size])
+        rows.append((word, label, count, size))
         if word is not None:
-            stack.append((obj["false"], f"{where}.false", index, False, level + 1))
-            stack.append((obj["true"], f"{where}.true", index, True, level + 1))
+            stack.append((obj["false"], f"{where}.false", level + 1))
+            stack.append((obj["true"], f"{where}.true", level + 1))
     question_id = document.get("question_id")
     if not (isinstance(question_id, str) and question_id):
         raise TreeFormatError("question_id must be a non-empty string")
@@ -485,5 +471,4 @@ def deserialize_tree(text: str) -> DecisionTree:
     for name, text in (("question_id", question_id), ("trained_at", trained_at)):
         if not is_utf8(text):
             raise TreeFormatError(f"{name} holds a lone surrogate")
-    _check_depth(levels)
     return _tree(question_id, rows, float(min_gain), trained_at)

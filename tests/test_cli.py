@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import inspect
 import io
 import json
 import os
@@ -108,6 +107,19 @@ def test_train_writes_a_question_id_of_the_longest_file_name(tmp_path):
     )
     assert main(["train", "--answers", answers, "--out", str(tmp_path / "out")]) == 0
     assert [p.name for p in (tmp_path / "out").iterdir()] == [f"{question_id}.tree.json"]
+
+
+def test_train_names_a_tree_by_the_text_of_a_number_id(tmp_path):
+    # 1e400 is past the largest float, so float() would read it as inf.
+    answers = write(
+        tmp_path / "answers.json",
+        '[{"question_id": 1e400, "answer": "alpha", "label": 1},'
+        ' {"question_id": 1e400, "answer": "beta", "label": 0}]',
+    )
+    out = tmp_path / "out"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["1e400.tree.json"]
+    assert deserialize_tree((out / "1e400.tree.json").read_text()).question_id == "1e400"
 
 
 @pytest.mark.parametrize("epoch", ["abc", "99999999999999999", "1e9", "-99999999999"])
@@ -506,7 +518,8 @@ def _chain_document(depth):
     return '{"question_id": "Q52", "config": {"min_gain": 0.0}, "root": ' + root + "}\n"
 
 
-@pytest.mark.parametrize("depth", [1000, 3000])
+# A chain of MAX_LEVELS tests is one level deeper than any tree file loads.
+@pytest.mark.parametrize("depth", [dtree.MAX_LEVELS, 1000, 3000])
 @pytest.mark.parametrize("command", ["grade", "explain"])
 def test_deeply_nested_tree_file_is_a_one_line_error(tmp_path, capsys, command, depth):
     trees = tmp_path / "trees"
@@ -957,37 +970,22 @@ def test_train_and_evaluate_with_no_question(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-@contextlib.contextmanager
-def _recursion_room(frames):
-    """Hold the recursion limit ``frames`` above the caller's stack, so that
-    a tree a few hundred levels deep is too deep for json to read back."""
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(len(inspect.stack(0)) + frames)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
-
-
 def test_train_writes_a_chain_only_if_it_reads_back(tmp_path, capsys):
-    written, refused = [], []
-    with _recursion_room(250):
-        for depth in range(100, 300, 20):
-            answers = write(tmp_path / f"chain{depth}.csv", _chain_answers(2 * depth))
-            out = tmp_path / f"out{depth}"
-            code = main(["train", "--answers", answers, "--out", str(out)])
-            err = capsys.readouterr().err
-            if code == 0:
-                tree = deserialize_tree((out / "q1.tree.json").read_text(encoding="utf-8"))
-                written.append((depth, len(tree.words), err))
-            else:
-                refused.append((depth, code, err, out.exists()))
-    assert written and refused
-    assert max(depth for depth, *_ in written) < min(depth for depth, *_ in refused)
-    for depth, nodes, err in written:
-        assert (nodes, err) == (2 * depth + 1, "")
-    for _, code, err, exists in refused:
-        assert (code, err, exists) == (1, "question 'q1': tree nested too deep\n", False)
+    # 2n answers grow a chain of n tests, n + 1 levels deep: the first is
+    # exactly MAX_LEVELS deep, the second one level past it.
+    deepest = dtree.MAX_LEVELS - 1
+    for tests, code, err in [
+        (deepest, 0, ""),
+        (deepest + 1, 1, "question 'q1': tree nested too deep\n"),
+    ]:
+        answers = write(tmp_path / f"chain{tests}.csv", _chain_answers(2 * tests))
+        out = tmp_path / f"out{tests}"
+        assert main(["train", "--answers", answers, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert out.exists() == (code == 0)
+    tree_file = tmp_path / f"out{deepest}" / "q1.tree.json"
+    tree = deserialize_tree(tree_file.read_text(encoding="utf-8"))
+    assert len(tree.words) == 2 * deepest + 1
 
 
 # Two workers: q0, the first question, is dealt to the parent, and q1 to
@@ -1034,11 +1032,12 @@ def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
 def test_train_reports_a_tree_too_deep_in_a_worker_as_on_one_cpu(
     tmp_path, capsys, monkeypatch
 ):
-    text = _TWO_LOADS + _chain_answers(300)[len("question_id,answer,label\n"):]
-    with _recursion_room(120):
-        _assert_train_fails_alike(
-            tmp_path, capsys, monkeypatch, text, 2, ["question 'q1': tree nested too deep"]
-        )
+    # q1's chain is one level past MAX_LEVELS.
+    chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
+    _assert_train_fails_alike(
+        tmp_path, capsys, monkeypatch, _TWO_LOADS + chain, 2,
+        ["question 'q1': tree nested too deep"],
+    )
 
 
 def _reject(message):
@@ -1407,23 +1406,70 @@ def input_files(draw, columns):
     return suffix, (bom + text).encode("utf-8")
 
 
+# No stopword file, a valid one, or one of hostile text or raw bytes as
+# input_files draws them.
+stopword_files = st.one_of(
+    st.none(),
+    st.just(b"# words\nthe\nalpha\n"),
+    hostile_text.map(lambda text: text.encode("utf-8")),
+    st.binary(max_size=80),
+)
+
+# Values of numeric options: valid ones, ones out of range, and text that is
+# not a number or is one no float or int holds.
+OPTION_VALUES = ["0", "1", "2", "0.5", "-0", "-1", "nan", "inf", "-inf", "1e400",
+                 "9" * 30, "9" * 5000, ""]
+
+
+def options(*names):
+    """For each of ``names``, no flag or the flag with a drawn value."""
+    flag = st.sampled_from(names).flatmap(
+        lambda name: st.sampled_from(OPTION_VALUES).map(lambda value: [name, value])
+    )
+    return st.lists(flag, max_size=len(names)).map(lambda flags: sum(flags, []))
+
+
+def _stopwords_flag(work, content):
+    """``--stopwords`` naming a file of ``content`` in ``work``, or nothing."""
+    if content is None:
+        return []
+    path = work / "stop.txt"
+    path.write_bytes(content)
+    return ["--stopwords", str(path)]
+
+
+def _exit_code(argv):
+    """main's exit code, with argparse's usage error exit counted as its 2."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @settings(max_examples=150, deadline=None)
-@given(input_files(CSV_HEADER), input_files(UNGRADED_CSV_HEADER))
-def test_train_and_grade_survive_hostile_input(answers_file, batch_file):
+@given(
+    input_files(CSV_HEADER), input_files(UNGRADED_CSV_HEADER), stopword_files,
+    options("--min-gain"), options("--threshold"),
+)
+def test_train_and_grade_survive_hostile_input(
+    answers_file, batch_file, stopwords, train_options, grade_options
+):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         answers = work / ("answers" + answers_file[0])
         batch = work / ("batch" + batch_file[0])
         answers.write_bytes(answers_file[1])
         batch.write_bytes(batch_file[1])
+        stopword_flag = _stopwords_flag(work, stopwords)
         trees, graded = work / "trees", work / "graded.csv"
         codes = {
-            main(["train", "--answers", str(answers), "--out", str(trees)]),
-            main(["grade", "--trees", str(trees), "--answers", str(batch),
-                  "--out", str(graded)]),
+            _exit_code(["train", "--answers", str(answers), "--out", str(trees),
+                        *stopword_flag, *train_options]),
+            _exit_code(["grade", "--trees", str(trees), "--answers", str(batch),
+                        "--out", str(graded), *stopword_flag, *grade_options]),
         }
         assert codes <= {0, 1, 2}
-        names = {answers.name, batch.name, trees.name, graded.name}
+        names = {answers.name, batch.name, trees.name, graded.name, "stop.txt"}
         assert {p.name for p in work.iterdir()} <= names
         assert all(p.parent == trees for p in trees.rglob("*"))
 
@@ -1485,10 +1531,11 @@ def tree_texts(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(
-    input_files(CSV_HEADER), input_files(REPORT_CSV_HEADER), tree_texts(), hostile_text
+    input_files(CSV_HEADER), input_files(REPORT_CSV_HEADER), tree_texts(), hostile_text,
+    stopword_files, options("--k", "--seed", "--min-gain"),
 )
 def test_evaluate_stats_and_explain_survive_hostile_input(
-    answers_file, fixture_file, tree_text, answer
+    answers_file, fixture_file, tree_text, answer, stopwords, evaluate_options
 ):
     cwd_before = sorted(os.listdir())
     with tempfile.TemporaryDirectory() as tmp:
@@ -1499,23 +1546,25 @@ def test_evaluate_stats_and_explain_survive_hostile_input(
         answers.write_bytes(answers_file[1])
         fixture.write_bytes(fixture_file[1])
         tree.write_text(tree_text, encoding="utf-8")
+        stopword_flag = _stopwords_flag(work, stopwords)
         report, stats = work / "report", work / "stats.json"
         runs = [
-            (["evaluate", "--answers", str(answers), "--k", "2", "--out", str(report)],
+            (["evaluate", "--answers", str(answers), "--k", "2", "--out", str(report),
+              *stopword_flag, *evaluate_options],
              [report / "report.csv", report / "report.json"]),
             (["stats", "--fixture", str(fixture), "--out", str(stats)], [stats]),
-            (["explain", "--tree", str(tree), "--answer", answer], []),
+            (["explain", "--tree", str(tree), "--answer", answer, *stopword_flag], []),
         ]
         for argv, outputs in runs:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv)
+                code = _exit_code(argv)
             assert code in (0, 1, 2), argv[0]
             if code != 0:
                 assert err.getvalue().strip(), argv[0]
                 assert "Traceback" not in err.getvalue(), argv[0]
                 assert not any(path.exists() for path in outputs), argv[0]
-        names = {answers.name, fixture.name, tree.name, report.name, stats.name}
+        names = {answers.name, fixture.name, tree.name, report.name, stats.name, "stop.txt"}
         assert {p.name for p in work.iterdir()} <= names
         assert all(p.parent == report for p in report.rglob("*"))
     assert sorted(os.listdir()) == cwd_before

@@ -71,11 +71,15 @@ def test_parse_json():
             {"question_id": 7, "answer": 1.5, "label": 1},  # numbers read as text
         ]
     )
+    # As written, even where float() would not keep it; json.dumps cannot
+    # write 1e400.
+    content = content[:-1] + ', {"question_id": 1e400, "answer": 1E2, "label": 1}]'
     records = parse_answer_file(content, "json")
     assert records == [
         AnswerRecord("q1", "mitral valve", Label.CORRECT),
         AnswerRecord("q2", "apex", Label.INCORRECT),
         AnswerRecord("7", "1.5", Label.CORRECT),
+        AnswerRecord("1e400", "1E2", Label.CORRECT),
     ]
 
 

@@ -1,7 +1,6 @@
 import json
 import math
 import random
-import sys
 
 import pytest
 from hypothesis import given
@@ -57,7 +56,7 @@ def _root(tree):
         node = {} if tree.words[i] is None else {"word": tree.words[i]}
         node.update(label=tree.labels[i].value, count=tree.counts[i], size=tree.sizes[i])
         if tree.words[i] is not None:
-            node["true"] = nodes[tree.true_index[i]]
+            node["true"] = nodes[i + 1]
             node["false"] = nodes[tree.false_index[i]]
         nodes[i] = node
     return nodes[0]
@@ -792,24 +791,25 @@ def _reference_classify(tree, features):
 
 
 def _chain_tree(depth):
-    """A chain laid out as preorder arrays, since json cannot nest it this
-    deep: node i tests "w<i>"; the deeper subtree hangs off the true branch at
-    even i and off the false branch at odd i, and the other branch is a leaf.
-    An even node's leaf follows everything below it, so those leaves come
-    last, deepest first."""
-    rows, held = [], []  # rows: [word, true child, false child, label, count, size]
+    """A chain of ``depth`` tests, ``depth + 1`` levels deep, laid out as
+    preorder arrays, since json cannot nest it this deep: node i tests
+    "w<i>"; the deeper subtree hangs off the true branch at even i and off
+    the false branch at odd i, and the other branch is a leaf. A test's true
+    child is the next node. An even node's leaf follows everything below it,
+    so those leaves come last, deepest first."""
+    rows, held = [], []  # rows: [word, false child, label, count, size]
     for i in range(depth):
         index = len(rows)
-        rows.append([f"w{i}", index + 1, -1, C, i % 7 + 1, 7])
-        leaf = [None, -1, -1, C if i % 2 else I, i % 5 + 1, 5]
+        rows.append([f"w{i}", -1, C, i % 7 + 1, 7])
+        leaf = [None, -1, C if i % 2 else I, i % 5 + 1, 5]
         if i % 2:
             rows.append(leaf)
-            rows[index][2] = index + 2
+            rows[index][1] = index + 2
         else:
             held.append((index, leaf))
-    rows.append([None, -1, -1, I, 2, 3])
+    rows.append([None, -1, I, 2, 3])
     for index, leaf in reversed(held):
-        rows[index][2] = len(rows)
+        rows[index][1] = len(rows)
         rows.append(leaf)
     return DecisionTree("chain", *map(tuple, zip(*rows)))
 
@@ -993,14 +993,18 @@ _MIN_GAINS = st.one_of(
 
 def _tree_from_shape(shape, question_id, min_gain, trained_at):
     """The tree whose nested shape is ``shape``: a leaf is (label, count,
-    size), a test is (word, label, count, size, true shape, false shape)."""
-    rows, stack = [], [(shape, -1, False)]
+    size), a test is (word, label, count, size, true shape, false shape).
+    Each test's true child is the next node, and its false child is linked
+    to it as the shape is walked."""
+    rows, stack = [], [(shape, -1)]  # (shape, the test it is the false child of)
     while stack:
-        node, parent, branch = stack.pop()
+        node, parent = stack.pop()
+        if parent >= 0:
+            rows[parent][1] = len(rows)
         word, (label, count, size) = (None, node) if len(node) == 3 else (node[0], node[1:4])
-        index = dtree._add(rows, parent, branch, [word, -1, -1, label, count, size])
+        rows.append([word, -1, label, count, size])
         if word is not None:
-            stack += [(node[5], index, False), (node[4], index, True)]
+            stack += [(node[5], len(rows) - 1), (node[4], -1)]
     return DecisionTree(question_id, *map(tuple, zip(*rows)), min_gain, trained_at)
 
 
@@ -1014,26 +1018,18 @@ def test_serialize_writes_the_bytes_of_json_dumps(shape, question_id, trained_at
         "root": _root(tree),
     }
     assert serialize_tree(tree) == json.dumps(document, indent=2) + "\n"
+    # The false children the preorder rows imply are the ones the shape links.
+    rows = list(zip(tree.words, tree.labels, tree.counts, tree.sizes))
+    assert dtree._tree(question_id, rows, min_gain, trained_at) == tree
 
 
 def test_serialize_writes_only_chains_json_can_read_back():
-    # Depths from well inside json's read limit to past it, which is near the
-    # recursion limit (here, not on CPython 3.12 and later, where json reads
-    # deeper); a refused depth is never shallower than a written one.
-    limit = sys.getrecursionlimit()
-    outcomes = []
-    for depth in range(limit - 300, limit + 20, 10):
-        tree = _chain_tree(depth)
-        try:
-            text = serialize_tree(tree)
-        except TreeFormatError as exc:
-            assert str(exc) == "tree nested too deep"
-            outcomes.append(False)
-            continue
-        assert deserialize_tree(text) == tree
-        outcomes.append(True)
-    assert outcomes == sorted(outcomes, reverse=True)
-    assert outcomes[0] and not outcomes[-1]
+    # A chain of MAX_LEVELS - 1 tests is MAX_LEVELS levels deep: the deepest
+    # tree written, which json reads back on every Python version.
+    deepest = _chain_tree(dtree.MAX_LEVELS - 1)
+    assert deserialize_tree(serialize_tree(deepest)) == deepest
+    with pytest.raises(TreeFormatError, match="^tree nested too deep$"):
+        serialize_tree(_chain_tree(dtree.MAX_LEVELS))
 
 
 def test_reference_tree_document_structure(example_tree, example_tree_path):
