@@ -6,7 +6,9 @@ Exit codes: 0 success, 1 validation/data failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import errno
 import io
 import math
 import os
@@ -36,50 +38,56 @@ def _stream_to(info: os.stat_result) -> TextIO | None:
     return None
 
 
-def _atomic_write(path: Path, content: str) -> None:
-    """Write ``content`` as UTF-8 to the file ``path`` names. The file stdout
-    or stderr writes to, such as ``/dev/stdout``, is written through that
-    stream, after what was printed before; replacing it would drop that
-    text, and send what is printed after to the replaced file. Any other
-    FIFO or character device is written directly. Otherwise a temporary file
-    beside the target, through any symlink, replaces it whole; it keeps the
-    mode of the file it replaces, and a new file gets ``0o666`` less the
-    umask, as ``open`` would give it."""
+def _atomic_write(files: dict[Path, str]) -> None:
+    """Write each text as UTF-8 to the file its path names. Every target is
+    stat'ed first: one that fails, or is a directory (``IsADirectoryError``),
+    leaves every file as it was. The file stdout or stderr writes to, such as
+    ``/dev/stdout``, is written through that stream, after what was printed
+    before; replacing it would drop that text, and send what is printed after to
+    the replaced file. Any other FIFO or character device is written directly.
+    Otherwise a temporary file beside the target, through any symlink, replaces
+    it whole; it keeps the mode of the file it replaces, and a new file gets
+    ``0o666`` less the umask, as ``open`` would give it."""
     import tempfile  # here: explain writes no file
 
-    try:
-        info = os.stat(path)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    else:
-        mode = info.st_mode
-        stream = _stream_to(info)
-        if stream is not None:
-            stream.flush()
-            stream.buffer.write(content.encode("utf-8"))
-            stream.buffer.flush()
-            return
-    if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        return
-    # Follow the link chain, finite since stat found no loop; realpath would
-    # also fold "..", moving the temporary file out of the named directory.
-    while path.is_symlink():
-        path = path.parent / os.readlink(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            os.fchmod(fd, mode & 0o777)
-            handle.write(content)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    for path in files:
+        with contextlib.suppress(FileNotFoundError):
+            if stat.S_ISDIR(os.stat(path).st_mode):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for path, content in files.items():
+        try:
+            info = os.stat(path)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        else:
+            mode = info.st_mode
+            stream = _stream_to(info)
+            if stream is not None:
+                stream.flush()
+                stream.buffer.write(content.encode("utf-8"))
+                stream.buffer.flush()
+                continue
+        if stat.S_ISFIFO(mode) or stat.S_ISCHR(mode):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(content)
+            continue
+        # Follow the link chain, finite since stat found no loop; realpath would
+        # also fold "..", moving the temporary file out of the named directory.
+        while path.is_symlink():
+            path = path.parent / os.readlink(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                os.fchmod(fd, mode & 0o777)
+                handle.write(content)
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
 
 
 def _file_format(path: Path) -> str:
@@ -191,8 +199,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         if text is None:
             raise corpus.CorpusError(line)
     out_dir = Path(args.out)
-    for question_id, text, line in outputs:
-        _atomic_write(out_dir / f"{question_id}.tree.json", text)
+    _atomic_write({
+        out_dir / f"{question_id}.tree.json": text for question_id, text, _ in outputs
+    })
+    for _, _, line in outputs:
         print(line)
     return 0
 
@@ -272,7 +282,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
                     ))
             line = graded[pair] = to_line(pair)[:-1] + tail
         lines.append(line)
-    _atomic_write(Path(args.out), "".join(lines))
+    _atomic_write({Path(args.out): "".join(lines)})
     return 0
 
 
@@ -391,8 +401,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     report = evaluation.build_report(rows)
     out_dir = Path(args.out)
-    _atomic_write(out_dir / "report.csv", evaluation.report_to_csv(report))
-    _atomic_write(out_dir / "report.json", evaluation.report_to_json(report))
+    _atomic_write({
+        out_dir / "report.csv": evaluation.report_to_csv(report),
+        out_dir / "report.json": evaluation.report_to_json(report),
+    })
     summary = report.summary
     print(
         f"evaluated {summary.question_count} questions: "
@@ -409,7 +421,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     except ValueError as exc:  # zero rows
         print(str(exc), file=sys.stderr)
         return 1
-    _atomic_write(Path(args.out), evaluation.report_to_json(report))
+    _atomic_write({Path(args.out): evaluation.report_to_json(report)})
     for name, result in report.correlations.items():
         if result is not None:
             print(f"accuracy vs {name}: r = {result.r:+.4f}, p = {result.p:.3g}")

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import answertree
 from answertree import corpus, dtree, evaluation
-from answertree.cli import main
+from answertree.cli import _atomic_write, main
 from answertree.corpus import CSV_HEADER, UNGRADED_CSV_HEADER
 from answertree.dtree import classify, deserialize_tree
 from answertree.evaluation import REPORT_CSV_HEADER
@@ -438,7 +438,9 @@ def test_grade_trees_that_is_not_a_directory_is_exit_1(tmp_path, capsys, kind, p
 def _example_document(example_tree_path, **changes):
     document = json.loads(example_tree_path.read_text(encoding="utf-8"))
     config = changes.pop("config", {})
-    document["config"].update(config)
+    if isinstance(config, dict):  # else it replaces the object whole
+        config = {**document["config"], **config}
+    document["config"] = config
     document["root"].update(changes)
     return json.dumps(document)
 
@@ -450,6 +452,8 @@ def _example_document(example_tree_path, **changes):
         ({"config": {"min_gain": "nan"}}, "min_gain"),
         ({"config": {"min_gain": -0.5}}, "min_gain"),
         ({"config": {"min_gain": float("inf")}}, "min_gain"),
+        ({"config": []}, "config must be an object"),
+        ({"config": "x"}, "config must be an object"),
         ({"count": True}, "count and size"),
         ({"size": False}, "count and size"),
     ],
@@ -1018,6 +1022,7 @@ def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
         _questions_of_unequal_cost()
         + conflict.format(q="q6")
         + conflict.format(q="q3")
+        + "q3,the,correct\n"
         + "q7, ,correct\nq7,,incorrect\n"
         + conflict.format(q="q2")
     )
@@ -1026,6 +1031,7 @@ def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
     for question_id in ("q2", "q3", "q6"):
         lines += corpus.validate_dataset(groups[question_id]).render().splitlines()
     lines += ["question 'q7': no non-blank answers to train on", "answer file failed validation"]
+    assert "  no features left after preprocessing: 'the'" in lines
     _assert_train_fails_alike(tmp_path, capsys, monkeypatch, text, 3, lines)
 
 
@@ -1169,6 +1175,48 @@ def test_out_through_a_symlink_replaces_its_target(tmp_path, example_tree_path, 
     assert target.read_bytes() == graded
     # No temporary file is left beside the link or the target.
     assert {p.name for p in tmp_path.glob(".*")} == set()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_output_that_is_a_directory_stops_every_write(tmp_path, capsys, command):
+    # The directory is the last file the command writes.
+    out = tmp_path / "out"
+    if command == "train":
+        answers, target = write(tmp_path / "answers.csv", GRADED), out / "q2.tree.json"
+    else:
+        answers, target = write(tmp_path / "answers.csv", EVALUATABLE), out / "report.json"
+    target.mkdir(parents=True)
+    assert main([command, "--answers", answers, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"[Errno 21] Is a directory: '{target}'\n")
+    assert [p.name for p in out.iterdir()] == [target.name]
+    assert not list(target.iterdir())
+
+
+def test_an_output_that_cannot_be_stat_ed_stops_every_write(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "plain").touch()
+    target = out / "report.json"
+    target.symlink_to("plain/x")
+    answers = write(tmp_path / "answers.csv", EVALUATABLE)
+    assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"[Errno 20] Not a directory: '{target}'\n")
+    assert sorted(p.name for p in out.iterdir()) == ["plain", "report.json"]
+
+
+def test_a_failed_write_leaves_the_target_and_no_temporary_file(tmp_path):
+    target = tmp_path / "graded.csv"
+    target.write_text("old\n")
+    target.chmod(0o640)
+    # UTF-8 cannot encode a lone surrogate, so the write fails once the
+    # temporary file exists.
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write({target: "new \ud800\n"})
+    assert target.read_bytes() == b"old\n"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graded.csv"]
 
 
 def test_out_into_a_fifo_writes_through_it(tmp_path, example_tree_path):
