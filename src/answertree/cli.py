@@ -94,13 +94,13 @@ def _file_format(path: Path) -> str:
     return "json" if path.suffix.lower() == ".json" else "csv"
 
 
-def _read_text(path: Path, error: type[Exception] = corpus.CorpusError) -> str:
+def _read_text(path: Path) -> str:
     """A UTF-8 text file, with or without the byte-order mark spreadsheet
-    programs write; bytes that do not decode raise ``error``."""
+    programs write; bytes that do not decode raise CorpusError."""
     try:
         return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise error(
+        raise corpus.CorpusError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
 
@@ -139,7 +139,7 @@ def _per_question(
 ) -> list[_R]:
     """``work`` on each question's dataset, in question order. A question is
     one job that validates and ingests its records and runs ``work``; once
-    all are done, every failed validation is reported."""
+    all are done, one CorpusError reports every failed validation."""
     path = Path(answers)
     records = corpus.parse_answer_file(_read_text(path), _file_format(path))
     groups = list(corpus.group_records(records).values())
@@ -150,15 +150,14 @@ def _per_question(
             return False, report.render()
         try:
             dataset = corpus.build_question_dataset(group, report.question_id, stopwords)
-        except corpus.EmptyDatasetError as exc:
+        except corpus.CorpusError as exc:  # no non-blank answers
             return False, str(exc)
         return True, work(dataset)
 
     results = _fan_out(command, job, groups)
     failures = [value for ok, value in results if not ok]
     if failures:
-        print("\n".join(failures), file=sys.stderr)
-        raise corpus.CorpusError("answer file failed validation")
+        raise corpus.CorpusError("\n".join([*failures, "answer file failed validation"]))
     return [value for _, value in results]
 
 
@@ -208,7 +207,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_tree(path: Path) -> dtree.DecisionTree:
-    text = _read_text(path, dtree.TreeFormatError)
+    text = _read_text(path)
     try:
         return dtree.deserialize_tree(text)
     except dtree.TreeFormatError as exc:
@@ -234,6 +233,10 @@ def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
     return trees
 
 
+# A blank exam answer earns zero: grade and explain never send it to a tree.
+_BLANK = dtree.Classification(corpus.Label.INCORRECT, 1.0, (), None, False)
+
+
 def cmd_grade(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
     trees = _load_trees(args.trees)
@@ -246,12 +249,11 @@ def cmd_grade(args: argparse.Namespace) -> int:
     # A row's line is its (question, answer) pair written as CSV, then a
     # tail ",label,certainty,flagged,critical_word\n"; CSV quotes each field
     # on its own, so the joined line has the bytes of the six-field row.
-    # Results are shared per tree leaf and kept alive by their tree, so each
-    # distinct result's tail is written once, keyed by identity. Writing two
-    # fields per distinct pair instead of six pays for the pair map below on
-    # batches where every pair is new.
+    # Results are shared per tree leaf and kept alive by their tree (_BLANK
+    # by this module), so each distinct result's tail is written once, keyed
+    # by identity. Writing two fields per distinct pair instead of six pays
+    # for the pair map below on batches where every pair is new.
     tails: dict[int, str] = {}
-    blank_tail = to_line(("", "incorrect", "1.0000", "false", ""))
     # The line depends only on the pair, so each distinct pair is graded
     # once and its line reused. The first row of a question is always a
     # miss, so an unknown question is reported there.
@@ -262,24 +264,21 @@ def cmd_grade(args: argparse.Namespace) -> int:
             question_id, answer = pair
             tree = trees.get(question_id)
             if tree is None:
-                print(f"no trained tree for question {question_id!r}", file=sys.stderr)
-                return 1
-            if not answer.strip():
-                # A blank exam answer earns zero; blanks never reach the trees.
-                tail = blank_tail
-            else:
-                result = dtree.classify(tree, textprep.preprocess(answer, stopwords))
-                tail = tails.get(id(result))
-                if tail is None:
-                    certainty = result.certainty
-                    flagged = certainty < args.threshold or result.out_of_vocabulary
-                    tail = tails[id(result)] = to_line((
-                        "",
-                        result.label.value,
-                        f"{certainty:.4f}",
-                        "true" if flagged else "false",
-                        result.critical_word or "",
-                    ))
+                raise corpus.CorpusError(f"no trained tree for question {question_id!r}")
+            result = _BLANK if not answer.strip() else dtree.classify(
+                tree, textprep.preprocess(answer, stopwords)
+            )
+            tail = tails.get(id(result))
+            if tail is None:
+                certainty = result.certainty
+                flagged = certainty < args.threshold or result.out_of_vocabulary
+                tail = tails[id(result)] = to_line((
+                    "",
+                    result.label.value,
+                    f"{certainty:.4f}",
+                    "true" if flagged else "false",
+                    result.critical_word or "",
+                ))
             line = graded[pair] = to_line(pair)[:-1] + tail
         lines.append(line)
     _atomic_write({Path(args.out): "".join(lines)})
@@ -397,8 +396,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         else:
             rows.append(result)
     if not rows:
-        print("no question had enough samples to evaluate", file=sys.stderr)
-        return 1
+        raise corpus.CorpusError("no question had enough samples to evaluate")
     report = evaluation.build_report(rows)
     out_dir = Path(args.out)
     _atomic_write({
@@ -416,11 +414,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     rows = evaluation.rows_from_fixture_csv(_read_text(Path(args.fixture)))
-    try:
-        report = evaluation.build_report(rows)
-    except ValueError as exc:  # zero rows
-        print(str(exc), file=sys.stderr)
-        return 1
+    if not rows:
+        raise corpus.CorpusError("cannot build a report from zero rows")
+    report = evaluation.build_report(rows)
     _atomic_write({Path(args.out): evaluation.report_to_json(report)})
     for name, result in report.correlations.items():
         if result is not None:
@@ -431,7 +427,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
     tree = _load_tree(Path(args.tree))
-    result = dtree.classify(tree, textprep.preprocess(args.answer, stopwords))
+    result = _BLANK if not args.answer.strip() else dtree.classify(
+        tree, textprep.preprocess(args.answer, stopwords)
+    )
     print(dtree.explain(result))
     return 0
 
@@ -501,16 +499,13 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(sys.stdout, io.TextIOWrapper):
         sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
-    if not 0.0 <= getattr(args, "threshold", 0.0) <= 1.0:
-        print("--threshold must be in [0, 1]", file=sys.stderr)
-        return 2
-    if not 0.0 <= getattr(args, "min_gain", 0.0) < math.inf:
-        print("--min-gain must be a finite number >= 0", file=sys.stderr)
-        return 2
-    if getattr(args, "k", 2) < 2:
-        print("--k must be at least 2", file=sys.stderr)
-        return 2
     try:
+        if not 0.0 <= getattr(args, "threshold", 0.0) <= 1.0:
+            raise UsageError("--threshold must be in [0, 1]")
+        if not 0.0 <= getattr(args, "min_gain", 0.0) < math.inf:
+            raise UsageError("--min-gain must be a finite number >= 0")
+        if getattr(args, "k", 2) < 2:
+            raise UsageError("--k must be at least 2")
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -24,27 +24,8 @@ _T = TypeVar("_T")
 
 
 class CorpusError(Exception):
-    """Base class for ingestion and dataset-construction failures."""
-
-
-class AnswerFileError(CorpusError):
-    """Malformed answer file; message names the offending row or element."""
-
-
-class LabelConflictError(CorpusError):
-    """The same answer text was graded both correct and incorrect."""
-
-    def __init__(self, question_id: str, conflicts: tuple[str, ...]):
-        self.question_id = question_id
-        self.conflicts = conflicts
-        listed = ", ".join(repr(t) for t in conflicts)
-        super().__init__(
-            f"question {question_id!r}: conflicting labels for answer(s): {listed}"
-        )
-
-
-class EmptyDatasetError(CorpusError):
-    """No samples survived blank filtering."""
+    """An answer file, batch, fixture or dataset that cannot be used; the
+    message names the offending row, element or answers."""
 
 
 class Label(Enum):
@@ -182,7 +163,7 @@ def read_rows(
     column as a key, each value a string or a number read as its text; a
     string must encode as UTF-8, so a lone surrogate escape is an error.
     ``build`` makes each row's item from its fields and raises ValueError on
-    a bad one. The first bad row in file order raises AnswerFileError naming it.
+    a bad one. The first bad row in file order raises CorpusError naming it.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown answer file format {format!r}")
@@ -193,9 +174,9 @@ def read_rows(
             reader = csv.reader(io.StringIO(content))
             header = next(reader, None)
             if header is None:
-                raise AnswerFileError("empty CSV file")
+                raise CorpusError("empty CSV file")
             if [h.strip() for h in header] != columns:
-                raise AnswerFileError(
+                raise CorpusError(
                     f"bad CSV header {header!r}, expected {','.join(columns)}"
                 )
             where, rows = "row", enumerate(reader, start=1)
@@ -204,9 +185,9 @@ def read_rows(
                 # A number is read as its text: 1e400 stays "1e400", not "inf".
                 data = json.loads(content, parse_float=str, parse_constant=_reject_constant)
             except (ValueError, RecursionError) as exc:  # also an over-long integer
-                raise AnswerFileError(f"invalid JSON: {exc}") from None
+                raise CorpusError(f"invalid JSON: {exc}") from None
             if not isinstance(data, list):
-                raise AnswerFileError("JSON answer file must be an array of objects")
+                raise CorpusError("JSON answer file must be an array of objects")
             where, rows = "element", enumerate(data)
         for n, row in rows:
             if where == "element":
@@ -225,9 +206,9 @@ def read_rows(
                 raise ValueError("empty question_id")
             items.append(build(row))
     except ValueError as exc:
-        raise AnswerFileError(f"{where} {n}: {exc}") from None
+        raise CorpusError(f"{where} {n}: {exc}") from None
     except csv.Error as exc:
-        raise AnswerFileError(f"CSV line {reader.line_num}: {exc}") from None
+        raise CorpusError(f"CSV line {reader.line_num}: {exc}") from None
     return items
 
 
@@ -297,11 +278,12 @@ def build_question_dataset(
             )
     seen, conflicts = _dedup_non_blank(records)
     if conflicts:
-        raise LabelConflictError(question_id, tuple(conflicts))
-    if not seen:
-        raise EmptyDatasetError(
-            f"question {question_id!r}: no non-blank answers to train on"
+        listed = ", ".join(repr(t) for t in conflicts)
+        raise CorpusError(
+            f"question {question_id!r}: conflicting labels for answer(s): {listed}"
         )
+    if not seen:
+        raise CorpusError(f"question {question_id!r}: no non-blank answers to train on")
     samples = tuple(
         Sample(features=preprocess(text, stopwords), raw_text=text, label=label)
         for text, label in seen.items()

@@ -313,5 +313,5 @@ def _fixture_row(row: list[str]) -> QuestionRow:
 
 def rows_from_fixture_csv(content: str) -> list[QuestionRow]:
     """Read precomputed per-question results (the report CSV schema); a bad
-    row raises AnswerFileError naming it."""
+    row raises CorpusError naming it."""
     return read_rows(content, "csv", REPORT_CSV_HEADER, _fixture_row)

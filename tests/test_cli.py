@@ -774,6 +774,19 @@ def test_evaluate_all_undersized_is_exit_1(tmp_path, capsys):
     assert "no question had enough samples" in capsys.readouterr().err
 
 
+def test_evaluate_all_undersized_prints_each_skip_then_one_error(tmp_path, capsys):
+    answers = write(tmp_path / "answers.csv", GRADED)
+    out = tmp_path / "r"
+    assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 1
+    assert capsys.readouterr() == (
+        "",
+        "skipping q1: 6 samples is fewer than k=10\n"
+        "skipping q2: 4 samples is fewer than k=10\n"
+        "no question had enough samples to evaluate\n",
+    )
+    assert not out.exists()
+
+
 def test_evaluate_runs_are_byte_identical(tmp_path):
     answers = write(tmp_path / "answers.csv", EVALUATABLE)
     first, second = tmp_path / "r1", tmp_path / "r2"
@@ -1116,6 +1129,14 @@ def test_stats_bad_fixture_is_exit_1(tmp_path, capsys):
     assert line.startswith("bad CSV header ['a', 'b'], expected question_id,")
 
 
+def test_stats_on_a_header_only_fixture_is_one_exact_line(tmp_path, capsys):
+    fixture = write(tmp_path / "empty.csv", ",".join(REPORT_CSV_HEADER) + "\n")
+    out = tmp_path / "o.json"
+    assert main(["stats", "--fixture", fixture, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "cannot build a report from zero rows\n")
+    assert not out.exists()
+
+
 def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, capsys):
     header = ",".join(REPORT_CSV_HEADER)
     bad = write(tmp_path / "bad.csv", f"{header}\nQ1,{'9' * 200_000},1,1,1,1\n")
@@ -1365,6 +1386,27 @@ def test_explain_prints_the_trace(tmp_path, capsys, example_tree_path):
     assert 'First node "muscles" returns TRUE' in stdout
     assert "answer is correct (97% significance)" in stdout
     assert 'critical decision point: "papillary"' in stdout
+
+
+@pytest.mark.parametrize("answer", ["", "   "])
+def test_explain_grades_a_blank_answer_as_grade_does(
+    tmp_path, capsys, example_tree_path, answer
+):
+    # grade writes a blank answer as incorrect with certainty 1, unflagged,
+    # without consulting the tree; explain must say the same.
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    shutil.copy(example_tree_path, trees / "Q52.tree.json")
+    batch = _batch_file(tmp_path / "batch.csv", [("Q52", answer)])
+    out = tmp_path / "graded.csv"
+    assert main(["grade", "--trees", str(trees), "--answers", batch, "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == f"Q52,{answer},incorrect,1.0000,false,"
+    assert main(["explain", "--tree", str(example_tree_path), "--answer", answer]) == 0
+    assert capsys.readouterr() == (
+        "answer is incorrect (100% significance)\n"
+        "critical decision point: terminal node\n",
+        "",
+    )
 
 
 def test_custom_stopword_file(tmp_path, capsys, example_tree_path):

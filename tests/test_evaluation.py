@@ -7,7 +7,7 @@ import scipy.stats
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from answertree.corpus import AnswerFileError, AnswerRecord, Label, build_question_dataset
+from answertree.corpus import AnswerRecord, CorpusError, Label, build_question_dataset
 from answertree.evaluation import (
     FoldError,
     QuestionRow,
@@ -367,17 +367,17 @@ def test_rows_from_fixture_csv_round_trip():
 
 
 def test_rows_from_fixture_csv_validation():
-    with pytest.raises(AnswerFileError, match="^empty CSV file$"):
+    with pytest.raises(CorpusError, match="^empty CSV file$"):
         rows_from_fixture_csv("")
-    with pytest.raises(AnswerFileError, match="^bad CSV header"):
+    with pytest.raises(CorpusError, match="^bad CSV header"):
         rows_from_fixture_csv("a,b\n1,2\n")
     good_header = ",".join(
         ["question_id", "average_grade", "dt_accuracy", "unique_all",
          "unique_correct", "unique_incorrect"]
     )
-    with pytest.raises(AnswerFileError, match="^row 1: expected 6 columns, got 2$"):
+    with pytest.raises(CorpusError, match="^row 1: expected 6 columns, got 2$"):
         rows_from_fixture_csv(good_header + "\nQ1,0.5\n")
-    with pytest.raises(AnswerFileError, match="^row 2: empty question_id$"):
+    with pytest.raises(CorpusError, match="^row 2: empty question_id$"):
         rows_from_fixture_csv(good_header + "\n\n ,0.5,1,1,1,1\n")
 
 
