@@ -138,19 +138,16 @@ def _per_question(
     command: str, answers: str, stopwords: frozenset[str], work: Callable[..., _R]
 ) -> list[_R]:
     """``work`` on each question's dataset, in question order. A question is
-    one job that validates and ingests its records and runs ``work``; once
-    all are done, one CorpusError reports every failed validation."""
+    one job that ingests its records and runs ``work``; once all are done,
+    one CorpusError reports every question whose records failed to ingest."""
     path = Path(answers)
     records = corpus.parse_answer_file(_read_text(path), _file_format(path))
     groups = list(corpus.group_records(records).values())
 
     def job(group: list[corpus.AnswerRecord]) -> tuple[bool, _R | str]:
-        report = corpus.validate_dataset(group, stopwords)
-        if not report.ok:
-            return False, report.render()
         try:
-            dataset = corpus.build_question_dataset(group, report.question_id, stopwords)
-        except corpus.CorpusError as exc:  # no non-blank answers
+            dataset = corpus.build_question_dataset(group, group[0].question_id, stopwords)
+        except corpus.CorpusError as exc:  # a conflict, or no non-blank answers
             return False, str(exc)
         return True, work(dataset)
 
@@ -171,7 +168,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         tree = dtree.build_tree(dataset, args.min_gain, trained_at=trained_at)
         try:
             text = dtree.serialize_tree(tree)
-        except dtree.TreeFormatError as exc:
+        except corpus.CorpusError as exc:
             return question_id, None, f"question {question_id!r}: {exc}"
         counts = textprep.unique_word_counts(dataset)
         return question_id, text, (
@@ -210,8 +207,8 @@ def _load_tree(path: Path) -> dtree.DecisionTree:
     text = _read_text(path)
     try:
         return dtree.deserialize_tree(text)
-    except dtree.TreeFormatError as exc:
-        raise dtree.TreeFormatError(f"{path}: {exc}") from exc
+    except corpus.CorpusError as exc:
+        raise corpus.CorpusError(f"{path}: {exc}") from exc
 
 
 def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
@@ -224,7 +221,7 @@ def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
     for path in sorted(directory.glob("*.tree.json")):
         tree = _load_tree(path)
         if tree.question_id in trees:
-            raise dtree.TreeFormatError(
+            raise corpus.CorpusError(
                 f"{sources[tree.question_id]} and {path} both hold a tree for "
                 f"question {tree.question_id!r}"
             )
@@ -510,12 +507,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except (
-        corpus.CorpusError,
-        dtree.TreeFormatError,
-        evaluation.FoldError,
-        OSError,
-    ) as exc:
+    except (corpus.CorpusError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
 

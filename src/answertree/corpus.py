@@ -24,8 +24,9 @@ _T = TypeVar("_T")
 
 
 class CorpusError(Exception):
-    """An answer file, batch, fixture or dataset that cannot be used; the
-    message names the offending row, element or answers."""
+    """An answer file, batch, stopword file, fixture, tree file or dataset
+    that cannot be used; the message names the offending row, element, node
+    or answers."""
 
 
 class Label(Enum):
@@ -117,25 +118,6 @@ class QuestionDataset:
 
     def __len__(self) -> int:
         return len(self.samples)
-
-
-class ValidationReport(NamedTuple):
-    question_id: str
-    conflicts: tuple[str, ...]
-    empty_after_preprocessing: tuple[str, ...]
-    sample_count: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.conflicts
-
-    def render(self) -> str:
-        lines = [f"question {self.question_id!r}: {self.sample_count} unique samples"]
-        for text in self.conflicts:
-            lines.append(f"  conflict: {text!r} was graded both correct and incorrect")
-        for text in self.empty_after_preprocessing:
-            lines.append(f"  no features left after preprocessing: {text!r}")
-        return "\n".join(lines)
 
 
 def parse_answer_file(content: str, format: str) -> list[AnswerRecord]:
@@ -245,21 +227,6 @@ def group_records(records: list[AnswerRecord]) -> dict[str, list[AnswerRecord]]:
     return groups
 
 
-def _dedup_non_blank(records: list[AnswerRecord]) -> tuple[dict[str, Label], list[str]]:
-    """Collapse non-blank records to one label per raw text; return conflicts."""
-    seen: dict[str, Label] = {}
-    conflicts: list[str] = []
-    for record in records:
-        if not record.raw_text.strip():
-            continue
-        previous = seen.get(record.raw_text)
-        if previous is None:
-            seen[record.raw_text] = record.label
-        elif previous is not record.label and record.raw_text not in conflicts:
-            conflicts.append(record.raw_text)
-    return seen, conflicts
-
-
 def build_question_dataset(
     records: list[AnswerRecord],
     question_id: str,
@@ -267,8 +234,9 @@ def build_question_dataset(
 ) -> QuestionDataset:
     """Build the training dataset for one question.
 
-    Blank answers are dropped, exact-duplicate texts are collapsed to one
-    sample, and each survivor carries its preprocessed word set.
+    The texts are ``validate_dataset``'s: blank answers are dropped and
+    exact-duplicate texts collapsed to one sample. Each sample carries its
+    preprocessed word set.
     """
     for record in records:
         if record.question_id != question_id:
@@ -276,33 +244,38 @@ def build_question_dataset(
                 f"record for question {record.question_id!r} passed to dataset "
                 f"{question_id!r}"
             )
-    seen, conflicts = _dedup_non_blank(records)
-    if conflicts:
-        listed = ", ".join(repr(t) for t in conflicts)
-        raise CorpusError(
-            f"question {question_id!r}: conflicting labels for answer(s): {listed}"
-        )
-    if not seen:
+    texts = validate_dataset(records, stopwords)
+    if not texts:
         raise CorpusError(f"question {question_id!r}: no non-blank answers to train on")
     samples = tuple(
         Sample(features=preprocess(text, stopwords), raw_text=text, label=label)
-        for text, label in seen.items()
+        for text, label in texts.items()
     )
     return QuestionDataset(question_id=question_id, samples=samples)
 
 
 def validate_dataset(
     records: list[AnswerRecord], stopwords: frozenset[str] = DEFAULT_STOPWORDS
-) -> ValidationReport:
-    """Report label conflicts and stopword-only answers without raising."""
-    question_id = records[0].question_id if records else ""
-    seen, conflicts = _dedup_non_blank(records)
-    empty = tuple(
-        text for text in seen if not preprocess(text, stopwords)
-    )
-    return ValidationReport(
-        question_id=question_id,
-        conflicts=tuple(conflicts),
-        empty_after_preprocessing=empty,
-        sample_count=len(seen),
-    )
+) -> dict[str, Label]:
+    """One question's distinct non-blank answer texts with their labels, in
+    first-seen order. A text graded both ways raises CorpusError reporting
+    the question's unique sample count, each such text and each text with
+    no word left after preprocessing."""
+    seen: dict[str, Label] = {}
+    conflicts: list[str] = []
+    for record in records:
+        if not record.raw_text.strip():
+            continue
+        previous = seen.setdefault(record.raw_text, record.label)
+        if previous is not record.label and record.raw_text not in conflicts:
+            conflicts.append(record.raw_text)
+    # Every text is preprocessed, conflict or not, until ingest is one pass.
+    empty = [text for text in seen if not preprocess(text, stopwords)]
+    if conflicts:
+        lines = [f"question {records[0].question_id!r}: {len(seen)} unique samples"]
+        for text in conflicts:
+            lines.append(f"  conflict: {text!r} was graded both correct and incorrect")
+        for text in empty:
+            lines.append(f"  no features left after preprocessing: {text!r}")
+        raise CorpusError("\n".join(lines))
+    return seen

@@ -16,7 +16,7 @@ from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
-from .corpus import Label, QuestionDataset, Sample, is_utf8
+from .corpus import CorpusError, Label, QuestionDataset, Sample, is_utf8
 
 # Gains within this of the threshold count as "no split"; keeps float noise
 # from growing the tree past purity.
@@ -28,10 +28,6 @@ GAIN_TOLERANCE = 1e-12
 # 3.11, fails near 980 levels under the default recursion limit; 900 leaves
 # about 80 frames to the caller.
 MAX_LEVELS = 900
-
-
-class TreeFormatError(Exception):
-    """Malformed serialized tree document."""
 
 
 class _TreeFields(NamedTuple):
@@ -359,7 +355,7 @@ def serialize_tree(tree: DecisionTree) -> str:
     indent=2)`` and a newline, written in one pass over the preorder arrays.
     A node's true child comes next; after a leaf comes the false child of the
     deepest node still waiting for one. A tree with more than MAX_LEVELS
-    levels raises TreeFormatError."""
+    levels raises CorpusError."""
     quote = encode_basestring_ascii
     label_text = {label: quote(label.value) for label in Label}
     parts = [
@@ -393,7 +389,7 @@ def serialize_tree(tree: DecisionTree) -> str:
             depth = parent + 1
     parts += [*ends[:depth][::-1], "\n}\n"]
     if len(keys) > MAX_LEVELS:  # keys holds an entry per level
-        raise TreeFormatError("tree nested too deep")
+        raise CorpusError("tree nested too deep")
     return "".join(parts)
 
 
@@ -406,69 +402,69 @@ def deserialize_tree(text: str) -> DecisionTree:
     try:
         document = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
-        raise TreeFormatError(f"invalid JSON: {exc}") from exc
+        raise CorpusError(f"invalid JSON: {exc}") from exc
     except RecursionError:
-        raise TreeFormatError("tree nested too deep") from None
+        raise CorpusError("tree nested too deep") from None
     if not isinstance(document, dict) or "root" not in document:
-        raise TreeFormatError("tree document must be an object with a root")
+        raise CorpusError("tree document must be an object with a root")
     config_obj = document.get("config", {})
     if not isinstance(config_obj, dict):
-        raise TreeFormatError("config must be an object")
+        raise CorpusError("config must be an object")
     # Every tree breaks ties as incorrect; files naming either label load.
     tie_label = config_obj.get("leaf_tie_label", "incorrect")
     if tie_label not in ("correct", "incorrect"):
-        raise TreeFormatError(f"unknown leaf_tie_label {tie_label!r}")
+        raise CorpusError(f"unknown leaf_tie_label {tie_label!r}")
     min_gain = config_obj.get("min_gain", 0.0)
     number = _is_int(min_gain) or isinstance(min_gain, float)
     # Checked against the largest float, not inf, so a huge integer is
     # rejected rather than overflowing float().
     if not (number and 0.0 <= min_gain <= sys.float_info.max):
-        raise TreeFormatError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
+        raise CorpusError(f"min_gain must be a finite number >= 0, not {min_gain!r}")
     rows: list[tuple] = []
     # (node object, its path for messages, its level), popped in preorder
     stack: list[tuple[object, str, int]] = [(document["root"], "root", 1)]
     while stack:
         obj, where, level = stack.pop()
         if level > MAX_LEVELS:
-            raise TreeFormatError("tree nested too deep")
+            raise CorpusError("tree nested too deep")
         if not isinstance(obj, dict):
-            raise TreeFormatError(f"{where}: node must be an object")
+            raise CorpusError(f"{where}: node must be an object")
         try:
             label = Label(obj["label"])
         except KeyError:
-            raise TreeFormatError(f"{where}: missing label") from None
+            raise CorpusError(f"{where}: missing label") from None
         except ValueError:
-            raise TreeFormatError(f"{where}: unknown label {obj['label']!r}") from None
+            raise CorpusError(f"{where}: unknown label {obj['label']!r}") from None
         count = obj.get("count")
         size = obj.get("size")
         if not (_is_int(count) and _is_int(size)):
-            raise TreeFormatError(f"{where}: count and size must be integers")
+            raise CorpusError(f"{where}: count and size must be integers")
         if size < 1 or not 0 <= count <= size:
-            raise TreeFormatError(f"{where}: bad node counts {count}/{size}")
+            raise CorpusError(f"{where}: bad node counts {count}/{size}")
         word = obj.get("word")
         has_true = "true" in obj
         has_false = "false" in obj
         if word is None:
             if has_true or has_false:
-                raise TreeFormatError(f"{where}: leaf node must not have children")
+                raise CorpusError(f"{where}: leaf node must not have children")
         else:
             if not isinstance(word, str):
-                raise TreeFormatError(f"{where}: word must be a string")
+                raise CorpusError(f"{where}: word must be a string")
             if not is_utf8(word):
-                raise TreeFormatError(f"{where}: word holds a lone surrogate")
+                raise CorpusError(f"{where}: word holds a lone surrogate")
             if not (has_true and has_false):
-                raise TreeFormatError(f"{where}: internal node needs both children")
+                raise CorpusError(f"{where}: internal node needs both children")
         rows.append((word, label, count, size))
         if word is not None:
             stack.append((obj["false"], f"{where}.false", level + 1))
             stack.append((obj["true"], f"{where}.true", level + 1))
     question_id = document.get("question_id")
     if not (isinstance(question_id, str) and question_id):
-        raise TreeFormatError("question_id must be a non-empty string")
+        raise CorpusError("question_id must be a non-empty string")
     trained_at = document.get("trained_at", "")
     if not isinstance(trained_at, str):
-        raise TreeFormatError("trained_at must be a string")
+        raise CorpusError("trained_at must be a string")
     for name, text in (("question_id", question_id), ("trained_at", trained_at)):
         if not is_utf8(text):
-            raise TreeFormatError(f"{name} holds a lone surrogate")
+            raise CorpusError(f"{name} holds a lone surrogate")
     return _tree(question_id, rows, float(min_gain), trained_at)

@@ -30,10 +30,6 @@ REPORT_CSV_HEADER = [
 ]
 
 
-class FoldError(Exception):
-    """Cross-validation could not be set up or run for a question."""
-
-
 def make_stratified_folds(
     labels: list[Label], k: int = 10, seed: int = 0
 ) -> tuple[int, ...]:
@@ -42,9 +38,9 @@ def make_stratified_folds(
     roughly the dataset's class balance. With ``2 <= k <= len(labels)`` every
     fold holds at least one label and at most all but one."""
     if k < 2:
-        raise FoldError(f"need at least 2 folds, got k={k}")
+        raise ValueError(f"need at least 2 folds, got k={k}")
     if len(labels) < k:
-        raise FoldError(f"cannot make {k} folds from {len(labels)} samples")
+        raise ValueError(f"cannot make {k} folds from {len(labels)} samples")
     rng = random.Random(seed)
     assignments = [0] * len(labels)
     position = 0
@@ -174,15 +170,21 @@ def pearson(xs: list[float], ys: list[float]) -> CorrelationResult:
     # with ulp-sized deviations and a spurious nonzero sum of squares.
     if min(xs) == max(xs) or min(ys) == max(ys):
         raise ValueError("correlation is undefined for a constant series")
-    # math.fsum sums exactly, where sum's rounding differs by Python version.
-    mean_x = math.fsum(xs) / n
-    mean_y = math.fsum(ys) / n
-    dx = [x - mean_x for x in xs]
-    dy = [y - mean_y for y in ys]
-    ssx = math.fsum(d * d for d in dx)
-    ssy = math.fsum(d * d for d in dy)
+    # math.fsum sums exactly, where sum's rounding differs by Python version;
+    # it raises OverflowError on a sum past the largest float.
+    try:
+        mean_x = math.fsum(xs) / n
+        mean_y = math.fsum(ys) / n
+        dx = [x - mean_x for x in xs]
+        dy = [y - mean_y for y in ys]
+        ssx = math.fsum(d * d for d in dx)
+        ssy = math.fsum(d * d for d in dy)
+    except OverflowError:
+        raise ValueError("correlation is undefined: a sum overflows") from None
     if ssx == 0.0 or ssy == 0.0:
         raise ValueError("correlation is undefined: deviations underflow to zero")
+    if not math.isfinite(ssx * ssy):
+        raise ValueError("correlation is undefined: deviations overflow")
     r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
     r = max(-1.0, min(1.0, r))
     df = n - 2
@@ -222,10 +224,11 @@ class EvaluationReport(NamedTuple):
 
 
 def _natural_key(question_id: str) -> tuple:
-    return tuple(
-        int(part) if part.isdigit() else part
-        for part in re.split(r"(\d+)", question_id)
-    )
+    # The digit runs are the odd parts. Not every str.isdigit() text is one:
+    # "²" and "①" are digits that \d does not match and int() does not read.
+    parts: list = re.split(r"(\d+)", question_id)
+    parts[1::2] = map(int, parts[1::2])
+    return tuple(parts)
 
 
 def build_report(rows: list[QuestionRow]) -> EvaluationReport:
@@ -294,8 +297,10 @@ def report_to_json(report: EvaluationReport) -> str:
 
 
 def _fixture_number(column: str, text: str) -> float | int:
-    """A fixture row's number cell: a finite float, or an int for word counts."""
-    kind = float if column in ("average_grade", "dt_accuracy") else int
+    """A fixture row's number cell: a grade or accuracy, a float in [0, 1],
+    or a word count, an int from 0 to 2**53, the most a float holds exactly.
+    Within these, no sum or square in ``build_report`` overflows."""
+    kind, top = (float, 1) if column in ("average_grade", "dt_accuracy") else (int, 2**53)
     try:
         value = kind(text)
     except ValueError:
@@ -304,6 +309,8 @@ def _fixture_number(column: str, text: str) -> float | int:
     # nan or inf would give meaningless correlations and invalid JSON.
     if kind is float and not math.isfinite(value):
         raise ValueError(f"{column} {text!r} is not a finite number")
+    if not 0 <= value <= top:
+        raise ValueError(f"{column} {text!r} is not in [0, {top}]")
     return value
 
 

@@ -898,7 +898,7 @@ def test_evaluate_error_in_a_worker_is_one_line_exit_1(tmp_path, capsys, monkeyp
     _cpus(monkeypatch, 2)
 
     def fail():
-        raise evaluation.FoldError("cannot make 10 folds from 9 samples")
+        raise corpus.CorpusError("cannot make 10 folds from 9 samples")
 
     # Job j goes to worker j % 2: worker 0, the parent, takes q1, q3 and q5,
     # and worker 1 q2, q4 and q6.
@@ -910,7 +910,7 @@ def test_evaluate_reaps_workers_when_its_own_share_fails(tmp_path, capsys, monke
     _cpus(monkeypatch, 3)
 
     def fail():
-        raise evaluation.FoldError("need at least 2 folds, got k=1")
+        raise corpus.CorpusError("need at least 2 folds, got k=1")
 
     _fail_in(monkeypatch, "q4", fail, in_child=False)  # the parent's last job
     _assert_evaluate_fails_alone(tmp_path, capsys, "need at least 2 folds, got k=1")
@@ -1042,7 +1042,9 @@ def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
     groups = corpus.group_records(corpus.parse_answer_file(text, "csv"))
     lines = []
     for question_id in ("q2", "q3", "q6"):
-        lines += corpus.validate_dataset(groups[question_id]).render().splitlines()
+        with pytest.raises(corpus.CorpusError) as raised:
+            corpus.validate_dataset(groups[question_id])
+        lines += str(raised.value).splitlines()
     lines += ["question 'q7': no non-blank answers to train on", "answer file failed validation"]
     assert "  no features left after preprocessing: 'the'" in lines
     _assert_train_fails_alike(tmp_path, capsys, monkeypatch, text, 3, lines)
@@ -1156,8 +1158,19 @@ def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, cap
         ("abc,1,1,1,1", "row 1: average_grade 'abc' is not a number"),
         ("0.5,1,1.5,1,1", "row 1: unique_all '1.5' is not an integer"),
         ("0.5,1,1,1,x", "row 1: unique_incorrect 'x' is not an integer"),
+        ("1.5,1,1,1,1", "row 1: average_grade '1.5' is not in [0, 1]"),
+        ("-0.1,1,1,1,1", "row 1: average_grade '-0.1' is not in [0, 1]"),
+        ("1.7e308,1,1,1,1", "row 1: average_grade '1.7e308' is not in [0, 1]"),
+        ("0.5,1e200,1,1,1", "row 1: dt_accuracy '1e200' is not in [0, 1]"),
+        ("0.5,1,-1,1,1", "row 1: unique_all '-1' is not in [0, 9007199254740992]"),
+        ("0.5,1,1,9007199254740993,1",
+         "row 1: unique_correct '9007199254740993' is not in [0, 9007199254740992]"),
+        (f"0.5,1,1,1,1{'0' * 400}",
+         f"row 1: unique_incorrect '1{'0' * 400}' is not in [0, 9007199254740992]"),
     ],
-    ids=["nan", "inf", "-inf", "abc", "float-count", "text-count"],
+    ids=["nan", "inf", "-inf", "abc", "float-count", "text-count", "grade-above-1",
+         "negative-grade", "grade-near-float-max", "huge-accuracy", "negative-count",
+         "count-past-2**53", "count-past-float-max"],
 )
 def test_stats_bad_fixture_number_is_a_one_line_error(tmp_path, capsys, cells, message):
     header = ",".join(REPORT_CSV_HEADER)
@@ -1168,6 +1181,45 @@ def test_stats_bad_fixture_number_is_a_one_line_error(tmp_path, capsys, cells, m
     assert main(["stats", "--fixture", bad, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [message]
     assert not out.exists()
+
+
+def test_stats_takes_the_largest_count_a_float_holds(tmp_path, capsys):
+    header = ",".join(REPORT_CSV_HEADER)
+    rows = f"Q1,0.5,1,{2**53},3,0\nQ2,0.6,0.9,5,3,2\nQ3,0.7,0.8,6,4,2\n"
+    fixture = write(tmp_path / "fixture.csv", f"{header}\n{rows}")
+    out = tmp_path / "o.json"
+    assert main(["stats", "--fixture", fixture, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["rows"][0]["unique_all"] == 2**53
+
+
+# "①" and "²" are digits to str.isdigit() but not decimal ones: \d does not
+# match them and int() cannot read them, so they sort as text.
+ODD_DIGIT_IDS = ["①", "Q10", "²", "Q1²", "Q2"]
+
+
+def test_stats_sorts_ids_holding_digits_that_are_not_decimal(tmp_path, capsys):
+    header = ",".join(REPORT_CSV_HEADER)
+    rows = "".join(
+        f"{qid},0.{n + 1},0.{9 - n},{n + 5},3,2\n" for n, qid in enumerate(ODD_DIGIT_IDS)
+    )
+    fixture = write(tmp_path / "fixture.csv", f"{header}\n{rows}")
+    out = tmp_path / "o.json"
+    assert main(["stats", "--fixture", fixture, "--out", str(out)]) == 0
+    document = json.loads(out.read_text(encoding="utf-8"))
+    assert [r["question_id"] for r in document["rows"]] == ["Q1²", "Q2", "Q10", "²", "①"]
+
+
+def test_evaluate_a_question_id_with_a_digit_that_is_not_decimal(tmp_path, capsys):
+    answers = "".join(
+        f"{qid},alpha {n},correct\n{qid},beta {n},incorrect\n"
+        for qid in ("²", "Q1²") for n in (1, 2)
+    )
+    graded = write(tmp_path / "answers.csv", "question_id,answer,label\n" + answers)
+    out = tmp_path / "report"
+    assert main(["evaluate", "--answers", graded, "--k", "2", "--out", str(out)]) == 0
+    lines = (out / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["Q1²", "²"]
+    assert capsys.readouterr().err == ""
 
 
 def _grade_into(out, tmp_path, example_tree_path):
@@ -1465,14 +1517,28 @@ PIECES = [
     "correct", "incorrect", "0", "1", "9" * 30, "alpha", "beta", "the", "null",
 ]
 hostile_text = st.lists(st.sampled_from(PIECES), max_size=30).map("".join)
+# Cells of the non-answer columns of graded files and stats fixtures. Each
+# number column draws numbers its type reads, so that a drawn fixture row
+# parses: in range, far past it, near the largest float, and, for a word
+# count, an integer no float holds.
+FRACTIONS = st.sampled_from(["0", "1", "0.5", "1e200", "-1e200", "1.7e308"])
+COUNTS = st.sampled_from(["0", "1", "9" * 400])
+CELLS = {
+    "label": st.sampled_from(["1", "0"]),
+    "average_grade": FRACTIONS,
+    "dt_accuracy": FRACTIONS,
+    "unique_all": COUNTS,
+    "unique_correct": COUNTS,
+    "unique_incorrect": COUNTS,
+}
 
 
 @st.composite
 def input_files(draw, columns):
     """A file suffix and content: hostile text, raw bytes, or rows laid out
     as a file with ``columns`` in either format. The rows' answers are
-    hostile text; their ids and other fields, drawn like labels, are valid
-    or hostile text too."""
+    hostile text. Their ids and other fields are hostile text too, or ids,
+    some holding a digit that is not decimal, with fields from CELLS."""
     suffix = draw(st.sampled_from([".csv", ".json"]))
     kind = draw(st.sampled_from(["text", "bytes", "rows", "rows"]))
     if kind == "bytes":
@@ -1481,10 +1547,10 @@ def input_files(draw, columns):
         text = draw(hostile_text)
     else:
         if draw(st.booleans()):
-            ids, labels = st.sampled_from(["q1", "q2"]), st.sampled_from(["1", "0"])
+            ids, cells = st.sampled_from(["q1", "q2", "²", "Q1²", "①"]), CELLS
         else:
-            ids = labels = hostile_text
-        fields = [ids, *(hostile_text if c == "answer" else labels for c in columns[1:])]
+            ids, cells = hostile_text, {}
+        fields = [ids, *(cells.get(c, hostile_text) for c in columns[1:])]
         rows = draw(st.lists(st.tuples(*fields), max_size=8))
         if suffix == ".json":
             text = json.dumps([dict(zip(columns, row)) for row in rows])

@@ -235,7 +235,10 @@ def test_build_dataset_conflict_is_a_hard_error():
     ]
     with pytest.raises(CorpusError) as excinfo:
         build_question_dataset(records, "q")
-    assert str(excinfo.value) == "question 'q': conflicting labels for answer(s): 'valve'"
+    assert str(excinfo.value) == (
+        "question 'q': 1 unique samples\n"
+        "  conflict: 'valve' was graded both correct and incorrect"
+    )
 
 
 def test_build_dataset_features_and_counts():
@@ -269,33 +272,39 @@ def test_build_dataset_rejects_foreign_question_and_empty_input():
 
 
 def test_validate_dataset_reports_stopword_only_answers():
-    report = validate_dataset([AnswerRecord("q", "the a an", Label.CORRECT)])
-    assert report.empty_after_preprocessing == ("the a an",)
-    assert report.ok
+    records = [
+        AnswerRecord("q", "the a an", Label.CORRECT),
+        AnswerRecord("q", "valve", Label.CORRECT),
+        AnswerRecord("q", "valve", Label.INCORRECT),
+    ]
+    # A stopword-only answer is kept, and named in a conflict's report.
+    assert validate_dataset(records[:1]) == {"the a an": Label.CORRECT}
+    with pytest.raises(CorpusError) as excinfo:
+        validate_dataset(records)
+    assert str(excinfo.value).splitlines()[-1] == (
+        "  no features left after preprocessing: 'the a an'"
+    )
 
 
 def test_validate_dataset_reports_conflicts():
-    report = validate_dataset(
-        [
-            AnswerRecord("q", "valve", Label.CORRECT),
-            AnswerRecord("q", "valve", Label.INCORRECT),
-        ]
-    )
-    assert report.conflicts == ("valve",)
-    assert not report.ok
-    assert "valve" in report.render()
+    with pytest.raises(CorpusError) as excinfo:
+        validate_dataset(
+            [
+                AnswerRecord("q", "valve", Label.CORRECT),
+                AnswerRecord("q", "valve", Label.INCORRECT),
+            ]
+        )
+    assert "valve" in str(excinfo.value)
 
 
 def test_validate_dataset_clean_corpus():
-    report = validate_dataset(
+    texts = validate_dataset(
         [
             AnswerRecord("q", "alpha", Label.CORRECT),
             AnswerRecord("q", "beta", Label.INCORRECT),
         ]
     )
-    assert report.ok
-    assert report.empty_after_preprocessing == ()
-    assert report.sample_count == 2
+    assert texts == {"alpha": Label.CORRECT, "beta": Label.INCORRECT}
 
 
 def test_group_records_preserves_order():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from answertree import dtree
 from answertree.corpus import (
     AnswerRecord,
+    CorpusError,
     Label,
     QuestionDataset,
     Sample,
@@ -19,7 +20,6 @@ from answertree.dtree import (
     Classification,
     DecisionTree,
     TraceStep,
-    TreeFormatError,
     _gain,
     _Node,
     build_tree,
@@ -1028,7 +1028,7 @@ def test_serialize_writes_only_chains_json_can_read_back():
     # tree written, which json reads back on every Python version.
     deepest = _chain_tree(dtree.MAX_LEVELS - 1)
     assert deserialize_tree(serialize_tree(deepest)) == deepest
-    with pytest.raises(TreeFormatError, match="^tree nested too deep$"):
+    with pytest.raises(CorpusError, match="^tree nested too deep$"):
         serialize_tree(_chain_tree(dtree.MAX_LEVELS))
 
 
@@ -1059,7 +1059,7 @@ def test_deserialize_rejects_one_sided_children():
             },
         }
     )
-    with pytest.raises(TreeFormatError, match="both children"):
+    with pytest.raises(CorpusError, match="both children"):
         deserialize_tree(bad)
 
 
@@ -1084,19 +1084,19 @@ LEAF = {"label": "incorrect", "count": 1, "size": 2}
 def test_deserialize_names_the_path_of_a_bad_node(example_tree_path, node, message):
     document = json.loads(example_tree_path.read_text(encoding="utf-8"))
     document["root"]["true"]["false"] = node
-    with pytest.raises(TreeFormatError) as raised:
+    with pytest.raises(CorpusError) as raised:
         deserialize_tree(json.dumps(document))
     assert str(raised.value) == f"root.true.false: {message}"
 
 
 def test_deserialize_rejects_garbage():
-    with pytest.raises(TreeFormatError):
+    with pytest.raises(CorpusError):
         deserialize_tree("{not json")
-    with pytest.raises(TreeFormatError):
+    with pytest.raises(CorpusError):
         deserialize_tree('{"question_id": "q"}')
-    with pytest.raises(TreeFormatError, match="label"):
+    with pytest.raises(CorpusError, match="label"):
         deserialize_tree('{"root": {"label": "meh", "count": 1, "size": 1}}')
-    with pytest.raises(TreeFormatError, match="count"):
+    with pytest.raises(CorpusError, match="count"):
         deserialize_tree('{"root": {"label": "correct", "count": 2, "size": 1}}')
 
 
@@ -1116,7 +1116,7 @@ def test_deserialize_accepts_either_leaf_tie_label(example_tree_path, tie):
         tree = deserialize_tree(json.dumps(document))
         assert tree == deserialize_tree(example_tree_path.read_text(encoding="utf-8"))
         return
-    with pytest.raises(TreeFormatError) as raised:
+    with pytest.raises(CorpusError) as raised:
         deserialize_tree(json.dumps(document))
     assert str(raised.value) == f"unknown leaf_tie_label {tie!r}"
 
@@ -1125,7 +1125,7 @@ def test_deserialize_accepts_either_leaf_tie_label(example_tree_path, tie):
 def test_deserialize_requires_a_string_trained_at(example_tree_path, trained_at):
     document = json.loads(example_tree_path.read_text(encoding="utf-8"))
     document["trained_at"] = trained_at
-    with pytest.raises(TreeFormatError) as raised:
+    with pytest.raises(CorpusError) as raised:
         deserialize_tree(json.dumps(document))
     assert str(raised.value) == "trained_at must be a string"
 
@@ -1137,7 +1137,7 @@ def test_deserialize_requires_a_non_empty_string_question_id(example_tree_path, 
         del document["question_id"]
     else:
         document["question_id"] = question_id
-    with pytest.raises(TreeFormatError) as raised:
+    with pytest.raises(CorpusError) as raised:
         deserialize_tree(json.dumps(document))
     assert str(raised.value) == "question_id must be a non-empty string"
 
@@ -1148,6 +1148,6 @@ def test_deserialize_rejects_a_lone_surrogate(example_tree_path, field):
     # reads back as a string no UTF-8 output can hold.
     document = json.loads(example_tree_path.read_text(encoding="utf-8"))
     document[field] = "Q\udfff"
-    with pytest.raises(TreeFormatError) as raised:
+    with pytest.raises(CorpusError) as raised:
         deserialize_tree(json.dumps(document))
     assert str(raised.value) == f"{field} holds a lone surrogate"

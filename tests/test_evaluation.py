@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from answertree.corpus import AnswerRecord, CorpusError, Label, build_question_dataset
 from answertree.evaluation import (
-    FoldError,
     QuestionRow,
     build_report,
     cross_validate,
@@ -68,9 +67,9 @@ def test_stratified_folds_deterministic_and_seed_sensitive():
 
 
 def test_stratified_folds_reject_bad_arguments():
-    with pytest.raises(FoldError, match="2 folds"):
+    with pytest.raises(ValueError, match="2 folds"):
         make_stratified_folds([C, I] * 5, k=1)
-    with pytest.raises(FoldError, match="cannot make 10 folds from 9"):
+    with pytest.raises(ValueError, match="cannot make 10 folds from 9"):
         make_stratified_folds([C] * 4 + [I] * 5, k=10)
 
 
@@ -108,13 +107,13 @@ def test_cross_validate_pools_hits_across_folds():
 
 
 def test_cross_validate_rejects_more_folds_than_samples():
-    with pytest.raises(FoldError, match="cannot make 13 folds from 12 samples"):
+    with pytest.raises(ValueError, match="cannot make 13 folds from 12 samples"):
         cross_validate(separable_dataset(6, 6), min_gain=0.0, k=13, seed=0)
 
 
 @pytest.mark.parametrize("k", [1, 0, -1])
 def test_cross_validate_rejects_fewer_than_two_folds(k):
-    with pytest.raises(FoldError) as raised:
+    with pytest.raises(ValueError) as raised:
         cross_validate(separable_dataset(6, 6), min_gain=0.0, k=k, seed=0)
     assert str(raised.value) == f"need at least 2 folds, got k={k}"
 
@@ -180,6 +179,21 @@ def test_pearson_rejects_a_constant_series_whose_mean_rounds():
         pearson(ROUNDED_CONSTANT, [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="constant"):
         pearson([0.0, 0.0, 1.0], ROUNDED_CONSTANT)
+
+
+@pytest.mark.parametrize(
+    "xs, ys",
+    [
+        ([1.7e308, 1.7e308, 0.0], [0.1, 0.5, 0.9]),  # the sum of the values
+        ([1e200, -1e200, 0.0], [0.1, 0.5, 0.9]),  # a sum of squares
+        ([0.1, 0.5, 0.9], [1e200, 0.0, 1.0]),
+        ([1e150, 0.0, 1.0], [1e150, 0.0, 1.0]),  # their product
+    ],
+)
+def test_pearson_is_undefined_when_a_sum_overflows(xs, ys):
+    # Treated like one that underflows, rather than read as r = 0.
+    with pytest.raises(ValueError, match="^correlation is undefined: .*overflow"):
+        pearson(xs, ys)
 
 
 def test_pearson_matches_scipy_on_random_data():

@@ -1,11 +1,14 @@
 """The records keep their contract: each is an immutable NamedTuple that
 pickles to an equal record and makes changed copies with ``_replace``."""
 
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
-from answertree import corpus, dtree, evaluation, textprep
+import answertree
+from answertree import cli, corpus, dtree, evaluation, textprep
 from answertree.corpus import AnswerRecord, Label, QuestionDataset
 from answertree.dtree import classify, deserialize_tree
 from answertree.evaluation import QuestionRow
@@ -38,7 +41,6 @@ def _records():
         data.samples[0],
         data.index,
         corpus.parse_answer_file("question_id,answer,label\nq,alpha,correct\n", "csv")[0],
-        corpus.validate_dataset([AnswerRecord("q", "the", C)]),
         tree,
         classify(tree, preprocess("alpha wrong")).trace[0],
         classify(tree, preprocess("alpha wrong")),
@@ -64,7 +66,27 @@ def _record_types():
 
 def test_every_record_type_is_covered():
     assert {type(record) for record in _records()} == _record_types()
-    assert len(_record_types()) == 13
+    assert len(_record_types()) == 12
+
+
+def test_the_package_defines_two_exception_classes():
+    # An input that cannot be used is a CorpusError, an option a UsageError.
+    # __main__ is left out: importing it runs the command line.
+    modules = [
+        importlib.import_module(f"answertree.{info.name}")
+        for info in pkgutil.iter_modules(answertree.__path__)
+        if info.name != "__main__"
+    ]
+    assert {module.__name__ for module in modules} >= {m.__name__ for m in (*MODULES, cli)}
+    defined = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type)
+        and issubclass(value, BaseException)
+        and value.__module__ == module.__name__
+    }
+    assert defined == {corpus.CorpusError, cli.UsageError}
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
