@@ -78,7 +78,7 @@ def _atomic_write(files: dict[Path, str]) -> None:
         while path.is_symlink():
             path = path.parent / os.readlink(path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".answertree.")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 os.fchmod(fd, mode & 0o777)
@@ -163,41 +163,33 @@ def cmd_train(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
 
     def train(dataset: corpus.QuestionDataset) -> tuple[str, str | None, str]:
-        """(question id, tree text, summary line), or no text and the error."""
+        """(file name, tree text, summary line), or no text and the error."""
         question_id = dataset.question_id
+        # The id names a file in --out, and one path component holds at most
+        # 255 bytes.
+        name = f"{question_id}.tree.json"
+        if any(c in question_id for c in "/\\\0") or question_id in ("", ".", ".."):
+            return name, None, f"question id {question_id!r} is not a safe file name"
+        if len(name.encode("utf-8")) > 255:
+            return name, None, f"question id {question_id!r} is too long for a file name"
         tree = dtree.build_tree(dataset, args.min_gain, trained_at=trained_at)
         try:
             text = dtree.serialize_tree(tree)
         except corpus.CorpusError as exc:
-            return question_id, None, f"question {question_id!r}: {exc}"
-        counts = textprep.unique_word_counts(dataset)
-        return question_id, text, (
+            return name, None, f"question {question_id!r}: {exc}"
+        return name, text, (
             f"{question_id}: {len(dataset)} samples "
             f"({dataset.correct_count} correct, {dataset.incorrect_count} incorrect), "
-            f"vocabulary {counts.all_words}"
+            f"vocabulary {len(dataset.index.words)}"
         )
 
     outputs = _per_question("train", args.answers, stopwords, train)
-    # Each id names a file in --out; check them all before writing any. The
-    # longest name written is _atomic_write's temporary one, ".{id}.tree.json."
-    # and eight characters, and one path component holds at most 255 bytes.
-    for question_id, _, _ in outputs:
-        name = f".{question_id}.tree.json.XXXXXXXX".encode("utf-8")
-        if any(c in question_id for c in "/\\\0") or question_id in ("", ".", ".."):
-            problem = "is not a safe file name"
-        elif len(name) > 255:
-            problem = "is too long for a file name"
-        else:
-            continue
-        raise corpus.CorpusError(f"question id {question_id!r} {problem}")
-    # Every tree is built first, so a question that fails leaves no output.
+    # Every job is done first, so a question that fails leaves no output.
     for _, text, line in outputs:
         if text is None:
             raise corpus.CorpusError(line)
     out_dir = Path(args.out)
-    _atomic_write({
-        out_dir / f"{question_id}.tree.json": text for question_id, text, _ in outputs
-    })
+    _atomic_write({out_dir / name: text for name, text, _ in outputs})
     for _, _, line in outputs:
         print(line)
     return 0

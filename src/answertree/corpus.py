@@ -106,7 +106,7 @@ class QuestionDataset:
 
     @property
     def correct_count(self) -> int:
-        return sum(1 for s in self.samples if s.label is Label.CORRECT)
+        return self.index.correct.bit_count()
 
     @property
     def incorrect_count(self) -> int:

@@ -302,6 +302,10 @@ def _fixture_number(column: str, text: str) -> float | int:
     Within these, no sum or square in ``build_report`` overflows."""
     kind, top = (float, 1) if column in ("average_grade", "dt_accuracy") else (int, 2**53)
     try:
+        # int and float also read "_" and non-ASCII digits, which the report
+        # CSV never writes.
+        if "_" in text or not text.isascii():
+            raise ValueError
         value = kind(text)
     except ValueError:
         noun = "a number" if kind is float else "an integer"

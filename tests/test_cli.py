@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import os
@@ -76,9 +77,9 @@ def test_train_is_byte_identical_across_runs(tmp_path, reproducible_clock):
     assert (first / "q2.tree.json").read_bytes() == (second / "q2.tree.json").read_bytes()
 
 
-# A 236-byte id makes a 256-byte temporary file name, one past the limit.
+# A 246-byte id makes a 256-byte file name, one past the limit.
 @pytest.mark.parametrize(
-    "question_id", ["../escape", "..", ".", "a/b", "a\\b", "a\0b", "q" * 236]
+    "question_id", ["../escape", "..", ".", "a/b", "a\\b", "a\0b", "q" * 246]
 )
 def test_train_rejects_unsafe_question_ids(tmp_path, capsys, question_id):
     records = [
@@ -101,7 +102,7 @@ def test_train_rejects_unsafe_question_ids(tmp_path, capsys, question_id):
 
 
 def test_train_writes_a_question_id_of_the_longest_file_name(tmp_path):
-    question_id = "q" * 235  # its temporary file name is 255 bytes
+    question_id = "q" * 245  # its file name is 255 bytes
     answers = write(
         tmp_path / "answers.csv", f"question_id,answer,label\n{question_id},alpha,correct\n"
     )
@@ -1061,6 +1062,46 @@ def test_train_reports_a_tree_too_deep_in_a_worker_as_on_one_cpu(
     )
 
 
+def test_train_reports_a_tree_too_deep_before_a_later_unsafe_id_on_any_cpu_count(
+    tmp_path, capsys, monkeypatch
+):
+    # On two CPUs, q1's chain, one level past MAX_LEVELS, goes to worker 1,
+    # and the later question with the unsafe id to the parent.
+    chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
+    _assert_train_fails_alike(
+        tmp_path, capsys, monkeypatch, _TWO_LOADS + chain + "a/b,alpha,correct\n", 2,
+        ["question 'q1': tree nested too deep"],
+    )
+
+
+@pytest.mark.parametrize(
+    "question_id, problem",
+    [("a/b", "is not a safe file name"), ("q" * 246, "is too long for a file name")],
+    ids=["unsafe", "too-long"],
+)
+def test_train_grows_no_tree_for_a_question_it_cannot_write(
+    tmp_path, capsys, monkeypatch, question_id, problem
+):
+    _cpus(monkeypatch, 1)
+    grown = []
+    build_tree = dtree.build_tree
+
+    def spy(dataset, *args, **kwargs):
+        grown.append(dataset.question_id)
+        return build_tree(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(dtree, "build_tree", spy)
+    rows = "".join(
+        f"{q},alpha,correct\n{q},beta,incorrect\n" for q in ("q1", question_id, "q2")
+    )
+    answers = write(tmp_path / "answers.csv", "question_id,answer,label\n" + rows)
+    out = tmp_path / "out"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"question id {question_id!r} {problem}\n")
+    assert grown == ["q1", "q2"]
+    assert not out.exists()
+
+
 def _reject(message):
     raise corpus.CorpusError(message)
 
@@ -1158,6 +1199,11 @@ def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, cap
         ("abc,1,1,1,1", "row 1: average_grade 'abc' is not a number"),
         ("0.5,1,1.5,1,1", "row 1: unique_all '1.5' is not an integer"),
         ("0.5,1,1,1,x", "row 1: unique_incorrect 'x' is not an integer"),
+        ("0.5_0,1,1,1,1", "row 1: average_grade '0.5_0' is not a number"),
+        ("0.5,\u0660.\u0665,1,1,1", "row 1: dt_accuracy '\u0660.\u0665' is not a number"),
+        ("0.5,1,1_000,1,1", "row 1: unique_all '1_000' is not an integer"),
+        ("0.5,1,1,2_0,1", "row 1: unique_correct '2_0' is not an integer"),
+        ("0.5,1,1,1,\u0663", "row 1: unique_incorrect '\u0663' is not an integer"),
         ("1.5,1,1,1,1", "row 1: average_grade '1.5' is not in [0, 1]"),
         ("-0.1,1,1,1,1", "row 1: average_grade '-0.1' is not in [0, 1]"),
         ("1.7e308,1,1,1,1", "row 1: average_grade '1.7e308' is not in [0, 1]"),
@@ -1168,7 +1214,9 @@ def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, cap
         (f"0.5,1,1,1,1{'0' * 400}",
          f"row 1: unique_incorrect '1{'0' * 400}' is not in [0, 9007199254740992]"),
     ],
-    ids=["nan", "inf", "-inf", "abc", "float-count", "text-count", "grade-above-1",
+    ids=["nan", "inf", "-inf", "abc", "float-count", "text-count", "underscore-grade",
+         "arabic-indic-accuracy", "underscore-count", "underscore-digits",
+         "arabic-indic-count", "grade-above-1",
          "negative-grade", "grade-near-float-max", "huge-accuracy", "negative-count",
          "count-past-2**53", "count-past-float-max"],
 )
@@ -1277,6 +1325,32 @@ def test_an_output_that_cannot_be_stat_ed_stops_every_write(tmp_path, capsys):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"[Errno 20] Not a directory: '{target}'\n")
     assert sorted(p.name for p in out.iterdir()) == ["plain", "report.json"]
+
+
+@pytest.mark.parametrize("length", [250, 255, 256])
+@pytest.mark.parametrize("command", ["grade", "stats"])
+def test_an_out_name_of_up_to_255_bytes_is_written(
+    tmp_path, capsys, example_tree_path, reference_tables_path, command, length
+):
+    # The temporary file's name does not grow with the target's.
+    out = tmp_path / ("o" * (length - 4) + ".out")
+    if command == "grade":
+        trees = tmp_path / "trees"
+        trees.mkdir()
+        shutil.copy(example_tree_path, trees / "Q52.tree.json")
+        batch = write(tmp_path / "new.csv", "question_id,answer\nQ52,papillary muscles\n")
+        argv = ["grade", "--trees", str(trees), "--answers", batch, "--out", str(out)]
+    else:
+        argv = ["stats", "--fixture", str(reference_tables_path), "--out", str(out)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    if length <= 255:
+        assert (code, err) == (0, "")
+        assert out.name in os.listdir(tmp_path)
+    else:
+        too_long = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
+        assert (code, err) == (1, f"{too_long}: '{out}'\n")
+    assert not [name for name in os.listdir(tmp_path) if name.startswith(".")]
 
 
 def test_a_failed_write_leaves_the_target_and_no_temporary_file(tmp_path):

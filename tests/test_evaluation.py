@@ -167,6 +167,9 @@ def test_pearson_input_validation():
         pearson([1, 2], [3, 4])
     with pytest.raises(ValueError, match="constant"):
         pearson([1, 1, 1], [1, 2, 3])
+    # Not constant, but each deviation squares to zero.
+    with pytest.raises(ValueError, match="^correlation is undefined: deviations underflow"):
+        pearson([0.0, 5e-324, 0.0, 5e-324], [1.0, 2.0, 3.0, 4.0])
 
 
 # A constant series whose mean rounds off by an ulp.
@@ -219,6 +222,12 @@ def test_incomplete_beta_against_scipy():
         )
     assert regularized_incomplete_beta(2, 3, 0.0) == 0.0
     assert regularized_incomplete_beta(2, 3, 1.0) == 1.0
+    for a, b in ((0, 3), (2, -1)):
+        with pytest.raises(ValueError, match="^shape parameters must be positive$"):
+            regularized_incomplete_beta(a, b, 0.5)
+    for x in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=r"^x=.* outside \[0, 1\]$"):
+            regularized_incomplete_beta(2, 3, x)
 
 
 def test_student_t_two_tailed_against_scipy():
@@ -228,6 +237,8 @@ def test_student_t_two_tailed_against_scipy():
                 2 * scipy.stats.t.sf(abs(t), df), abs=1e-12
             )
     assert student_t_two_tailed_p(math.inf, 5) == 0.0
+    with pytest.raises(ValueError, match="^degrees of freedom must be >= 1$"):
+        student_t_two_tailed_p(1.0, 0)
 
 
 # Affine invariance fails in floating point when a series' spread is at ulp

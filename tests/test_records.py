@@ -121,6 +121,7 @@ def test_dataset_is_an_immutable_record_whose_len_counts_samples():
     copy = pickle.loads(pickle.dumps(data))
     assert copy == data and hash(copy) == hash(data)
     assert copy != QuestionDataset("q", data.samples[1:])
+    assert data != ("q", data.samples) and data.__eq__(None) is NotImplemented
     assert repr(data).startswith("QuestionDataset(question_id='q', samples=(Sample(")
     fresh = _dataset()
     dtree.build_tree(data)  # fills the index memo
