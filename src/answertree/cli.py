@@ -90,29 +90,32 @@ def _atomic_write(files: dict[Path, str]) -> None:
             raise
 
 
-def _file_format(path: Path) -> str:
-    return "json" if path.suffix.lower() == ".json" else "csv"
-
-
-def _read_text(path: Path) -> str:
-    """A UTF-8 text file, with or without the byte-order mark spreadsheet
-    programs write; bytes that do not decode raise CorpusError."""
+def _load(path: Path, parse: Callable[[str], _R]) -> _R:
+    """``parse`` on the text of a UTF-8 file, with or without the byte-order
+    mark spreadsheet programs write. Bytes that do not decode, and a
+    CorpusError or ValueError from ``parse``, raise CorpusError naming the
+    file."""
     try:
-        return path.read_text(encoding="utf-8-sig")
+        return parse(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise corpus.CorpusError(
             f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
         ) from None
+    except (corpus.CorpusError, ValueError) as exc:
+        raise corpus.CorpusError(f"{path}: {exc}") from None
+
+
+def _load_answers(path: Path, parse: Callable[[str, str], _R]) -> _R:
+    """``parse`` (``corpus.parse_answer_file`` or ``parse_ungraded_file``) on
+    an answer file: JSON if its name ends in ``.json``, in any case, else CSV."""
+    format = "json" if path.suffix.lower() == ".json" else "csv"
+    return _load(path, lambda text: parse(text, format))
 
 
 def _load_prep(stopwords_path: str | None) -> frozenset[str]:
     if stopwords_path is None:
         return textprep.DEFAULT_STOPWORDS
-    content = _read_text(Path(stopwords_path))
-    try:
-        return textprep.parse_stopword_file(content)
-    except ValueError as exc:
-        raise corpus.CorpusError(f"{stopwords_path}: {exc}") from None
+    return _load(Path(stopwords_path), textprep.parse_stopword_file)
 
 
 class UsageError(Exception):
@@ -123,8 +126,11 @@ def _trained_at() -> str:
     from datetime import datetime, timezone  # here: only train needs it
 
     # SOURCE_DATE_EPOCH makes training reproducible byte for byte.
+    # ASCII digits, as `date +%s` prints them: int() also takes "+5", " 12 ", "1_0" and "١٢".
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
+        if epoch and not (epoch.isascii() and epoch.lstrip("-").isdigit()):
+            raise ValueError(epoch)
         stamp = int(epoch) if epoch else int(time.time())
         return datetime.fromtimestamp(stamp, timezone.utc).isoformat()
     except (ValueError, OverflowError, OSError):
@@ -138,69 +144,59 @@ def _per_question(
     command: str, answers: str, stopwords: frozenset[str], work: Callable[..., _R]
 ) -> list[_R]:
     """``work`` on each question's dataset, in question order. A question is
-    one job that ingests its records and runs ``work``; once all are done,
-    one CorpusError reports every question whose records failed to ingest."""
-    path = Path(answers)
-    records = corpus.parse_answer_file(_read_text(path), _file_format(path))
+    one job that ingests its records and runs ``work``. Once all are done,
+    the first error that is not a CorpusError, in question order, is raised;
+    failing that, one CorpusError reports every question that failed."""
+    records = _load_answers(Path(answers), corpus.parse_answer_file)
     groups = list(corpus.group_records(records).values())
 
-    def job(group: list[corpus.AnswerRecord]) -> tuple[bool, _R | str]:
-        try:
-            dataset = corpus.build_question_dataset(group, group[0].question_id, stopwords)
-        except corpus.CorpusError as exc:  # a conflict, or no non-blank answers
-            return False, str(exc)
-        return True, work(dataset)
+    def job(group: list[corpus.AnswerRecord]) -> _R:
+        return work(corpus.build_question_dataset(group, group[0].question_id, stopwords))
 
     results = _fan_out(command, job, groups)
-    failures = [value for ok, value in results if not ok]
+    failures = [result for result in results if isinstance(result, Exception)]
+    for failure in failures:
+        if not isinstance(failure, corpus.CorpusError):
+            raise failure
     if failures:
-        raise corpus.CorpusError("\n".join([*failures, "answer file failed validation"]))
-    return [value for _, value in results]
+        raise corpus.CorpusError("\n".join(map(str, failures)))
+    return results
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     trained_at = _trained_at()
     stopwords = _load_prep(args.stopwords)
 
-    def train(dataset: corpus.QuestionDataset) -> tuple[str, str | None, str]:
-        """(file name, tree text, summary line), or no text and the error."""
+    def train(dataset: corpus.QuestionDataset) -> tuple[str, str, str]:
+        """(file name, tree text, summary line)."""
         question_id = dataset.question_id
         # The id names a file in --out, and one path component holds at most
         # 255 bytes.
         name = f"{question_id}.tree.json"
         if any(c in question_id for c in "/\\\0") or question_id in ("", ".", ".."):
-            return name, None, f"question id {question_id!r} is not a safe file name"
+            raise corpus.CorpusError(f"question id {question_id!r} is not a safe file name")
         if len(name.encode("utf-8")) > 255:
-            return name, None, f"question id {question_id!r} is too long for a file name"
+            raise corpus.CorpusError(
+                f"question id {question_id!r} is too long for a file name"
+            )
         tree = dtree.build_tree(dataset, args.min_gain, trained_at=trained_at)
         try:
             text = dtree.serialize_tree(tree)
         except corpus.CorpusError as exc:
-            return name, None, f"question {question_id!r}: {exc}"
+            raise corpus.CorpusError(f"question {question_id!r}: {exc}") from None
         return name, text, (
             f"{question_id}: {len(dataset)} samples "
             f"({dataset.correct_count} correct, {dataset.incorrect_count} incorrect), "
             f"vocabulary {len(dataset.index.words)}"
         )
 
-    outputs = _per_question("train", args.answers, stopwords, train)
     # Every job is done first, so a question that fails leaves no output.
-    for _, text, line in outputs:
-        if text is None:
-            raise corpus.CorpusError(line)
+    outputs = _per_question("train", args.answers, stopwords, train)
     out_dir = Path(args.out)
     _atomic_write({out_dir / name: text for name, text, _ in outputs})
     for _, _, line in outputs:
         print(line)
     return 0
-
-
-def _load_tree(path: Path) -> dtree.DecisionTree:
-    text = _read_text(path)
-    try:
-        return dtree.deserialize_tree(text)
-    except corpus.CorpusError as exc:
-        raise corpus.CorpusError(f"{path}: {exc}") from exc
 
 
 def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
@@ -211,7 +207,7 @@ def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
     trees: dict[str, dtree.DecisionTree] = {}
     sources: dict[str, Path] = {}
     for path in sorted(directory.glob("*.tree.json")):
-        tree = _load_tree(path)
+        tree = _load(path, dtree.deserialize_tree)
         if tree.question_id in trees:
             raise corpus.CorpusError(
                 f"{sources[tree.question_id]} and {path} both hold a tree for "
@@ -226,11 +222,18 @@ def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
 _BLANK = dtree.Classification(corpus.Label.INCORRECT, 1.0, (), None, False)
 
 
+def _classify(
+    tree: dtree.DecisionTree, answer: str, stopwords: frozenset[str]
+) -> dtree.Classification:
+    if not answer.strip():
+        return _BLANK
+    return dtree.classify(tree, textprep.preprocess(answer, stopwords))
+
+
 def cmd_grade(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
     trees = _load_trees(args.trees)
-    path = Path(args.answers)
-    pairs = corpus.parse_ungraded_file(_read_text(path), _file_format(path))
+    pairs = _load_answers(Path(args.answers), corpus.parse_ungraded_file)
     # writerow returns what write returns, and str hands back the very line.
     to_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
@@ -254,9 +257,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
             tree = trees.get(question_id)
             if tree is None:
                 raise corpus.CorpusError(f"no trained tree for question {question_id!r}")
-            result = _BLANK if not answer.strip() else dtree.classify(
-                tree, textprep.preprocess(answer, stopwords)
-            )
+            result = _classify(tree, answer, stopwords)
             tail = tails.get(id(result))
             if tail is None:
                 certainty = result.certainty
@@ -293,21 +294,28 @@ def _worker_count(jobs: int) -> int:
 
 def _run_share(
     work: Callable[[_J], _R], share: list[_J], parent: int | None = None
-) -> list[_R]:
-    results = []
+) -> list[_R | Exception]:
+    """``work`` on each job; a job that raises has its exception as its result."""
+    results: list[_R | Exception] = []
     for job in share:
         if parent is not None and os.getppid() != parent:
             os._exit(1)  # the parent is gone, so no one will read the results
-        results.append(work(job))
+        try:
+            results.append(work(job))
+        except Exception as exc:
+            results.append(exc)
     return results
 
 
-def _fan_out(command: str, work: Callable[[_J], _R], jobs: list[_J]) -> list[_R]:
+def _fan_out(
+    command: str, work: Callable[[_J], _R], jobs: list[_J]
+) -> list[_R | Exception]:
     """``work`` on every job, on one worker per CPU: job ``j`` goes to worker
-    ``j % workers``. The parent runs worker 0's share itself; each other
-    share runs in a forked child, which pickles its results (or its
-    exception) into a pipe. Results come back in job order, so the output
-    does not depend on the worker count. With one worker nothing is forked."""
+    ``j % workers``. A job's result is what ``work`` returns or the exception
+    it raises. The parent runs worker 0's share itself; each other share runs
+    in a forked child, which pickles its list of results into a pipe. Results
+    come back in job order, so they do not depend on the worker count. With
+    one worker nothing is forked; a worker that dies raises ChildProcessError."""
     workers = _worker_count(len(jobs))
     results: list = [None] * len(jobs)
     parent = os.getpid()
@@ -325,12 +333,9 @@ def _fan_out(command: str, work: Callable[[_J], _R], jobs: list[_J]) -> list[_R]
                     os.close(read_end)
                     for _, pipe in children:
                         pipe.close()
-                    try:
-                        payload = (True, _run_share(work, jobs[worker::workers], parent))
-                    except Exception as exc:
-                        payload = (False, exc)
+                    share = _run_share(work, jobs[worker::workers], parent)
                     with open(write_end, "wb") as pipe:
-                        pickle.dump(payload, pipe)
+                        pickle.dump(share, pipe)
                     status = 0
                 finally:
                     os._exit(status)
@@ -349,10 +354,7 @@ def _fan_out(command: str, work: Callable[[_J], _R], jobs: list[_J]) -> list[_R]
                     f"{command} worker {worker} ended with {ended} "
                     "before sending its results"
                 )
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results[worker::workers] = value
+            results[worker::workers] = pickle.loads(data)
     finally:
         for pid, pipe in children:  # left running by an error
             pipe.close()
@@ -402,7 +404,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    rows = evaluation.rows_from_fixture_csv(_read_text(Path(args.fixture)))
+    rows = _load(Path(args.fixture), evaluation.rows_from_fixture_csv)
     if not rows:
         raise corpus.CorpusError("cannot build a report from zero rows")
     report = evaluation.build_report(rows)
@@ -415,11 +417,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_explain(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
-    tree = _load_tree(Path(args.tree))
-    result = _BLANK if not args.answer.strip() else dtree.classify(
-        tree, textprep.preprocess(args.answer, stopwords)
-    )
-    print(dtree.explain(result))
+    tree = _load(Path(args.tree), dtree.deserialize_tree)
+    print(dtree.explain(_classify(tree, args.answer, stopwords)))
     return 0
 
 

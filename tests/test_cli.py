@@ -123,7 +123,13 @@ def test_train_names_a_tree_by_the_text_of_a_number_id(tmp_path):
     assert deserialize_tree((out / "1e400.tree.json").read_text()).question_id == "1e400"
 
 
-@pytest.mark.parametrize("epoch", ["abc", "99999999999999999", "1e9", "-99999999999"])
+# int() reads the last four too, as 1592179200, 12, 12 and 5; the variable
+# is ASCII digits, as `date +%s` prints them.
+@pytest.mark.parametrize(
+    "epoch",
+    ["abc", "99999999999999999", "1e9", "-99999999999",
+     "1_592_179_200", " 12 ", "\u0661\u0662", "+5"],
+)
 def test_train_bad_source_date_epoch_is_a_one_line_usage_error(
     tmp_path, capsys, monkeypatch, epoch
 ):
@@ -155,7 +161,9 @@ def test_a_json_value_that_is_not_text_is_exit_1(
         argv = ["grade", "--trees", str(trees), "--answers", answers, "--out", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "element 0: question_id must be text or a number, not null\n"
+    assert captured.err == (
+        f"{answers}: element 0: question_id must be text or a number, not null\n"
+    )
     assert not out.exists()
 
 
@@ -181,7 +189,7 @@ def test_a_non_json_constant_is_a_one_line_error(
         argv = ["grade", "--trees", str(trees), "--answers", answers, "--out", str(out)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"invalid JSON: {constant} is not a JSON value\n"
+    assert captured.err == f"{answers}: invalid JSON: {constant} is not a JSON value\n"
     assert captured.out == ""
     assert not out.exists()
     assert sorted(p.name for p in tmp_path.rglob("*.json")) == sorted(
@@ -211,7 +219,9 @@ def test_a_lone_surrogate_in_an_answer_file_is_a_one_line_error(
         argv += ["--trees", str(trees)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == f"element 20: {column} holds a lone surrogate, which is not text\n"
+    assert captured.err == (
+        f"{answers}: element 20: {column} holds a lone surrogate, which is not text\n"
+    )
     assert captured.out == ""
     assert not out.exists()
 
@@ -597,7 +607,7 @@ def test_hostile_answer_file_is_a_one_line_error(
                 "--out", str(out)]
     assert main(argv) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(message)
+    assert line.startswith(f"{answers}: {message}")
     assert not out.exists()
 
 
@@ -1046,7 +1056,7 @@ def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
         with pytest.raises(corpus.CorpusError) as raised:
             corpus.validate_dataset(groups[question_id])
         lines += str(raised.value).splitlines()
-    lines += ["question 'q7': no non-blank answers to train on", "answer file failed validation"]
+    lines.append("question 'q7': no non-blank answers to train on")
     assert "  no features left after preprocessing: 'the'" in lines
     _assert_train_fails_alike(tmp_path, capsys, monkeypatch, text, 3, lines)
 
@@ -1066,12 +1076,64 @@ def test_train_reports_a_tree_too_deep_before_a_later_unsafe_id_on_any_cpu_count
     tmp_path, capsys, monkeypatch
 ):
     # On two CPUs, q1's chain, one level past MAX_LEVELS, goes to worker 1,
-    # and the later question with the unsafe id to the parent.
+    # and the later question with the unsafe id to the parent. Both are
+    # reported, in question order.
     chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
     _assert_train_fails_alike(
         tmp_path, capsys, monkeypatch, _TWO_LOADS + chain + "a/b,alpha,correct\n", 2,
-        ["question 'q1': tree nested too deep"],
+        ["question 'q1': tree nested too deep", "question id 'a/b' is not a safe file name"],
     )
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_train_reports_every_failed_question_in_question_order_on_any_cpu_count(
+    tmp_path, capsys, monkeypatch, cpus
+):
+    # The first question's id is unsafe, the second's answers conflict and
+    # the third's chain is one level past MAX_LEVELS: an ingest failure
+    # between two train failures, each dealt to its own worker on three CPUs.
+    chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
+    text = (
+        "question_id,answer,label\na/b,alpha,correct\n"
+        + "q2,dupe,correct\nq2,dupe,incorrect\n"
+        + chain.replace("q1,", "q3,")
+    )
+    _assert_train_fails_alike(
+        tmp_path, capsys, monkeypatch, text, cpus,
+        [
+            "question id 'a/b' is not a safe file name",
+            "question 'q2': 1 unique samples",
+            "  conflict: 'dupe' was graded both correct and incorrect",
+            "question 'q3': tree nested too deep",
+        ],
+    )
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_unexpected_error_is_the_first_in_question_order_on_any_cpu_count(
+    tmp_path, monkeypatch, reproducible_clock, command
+):
+    # Growing q2's and q3's trees raises an error that is not bad input. On
+    # two CPUs the parent runs q1 and q3 and worker 1 runs q2, so q3's error
+    # happens first; q2's is the one raised, as on one CPU.
+    build_tree = dtree.build_tree
+
+    def failing(dataset, *args, **kwargs):
+        if dataset.question_id in ("q2", "q3"):
+            raise ValueError(f"{dataset.question_id} failed")
+        return build_tree(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(dtree, "build_tree", failing)
+    monkeypatch.setattr(evaluation, "build_tree", failing)
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost((30, 30, 30)))
+    for cpus in (1, 2, 3):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        with pytest.raises(ValueError, match="^q2 failed$"):
+            main([command, "--answers", answers, "--out", str(out)])
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize(
@@ -1169,7 +1231,7 @@ def test_stats_bad_fixture_is_exit_1(tmp_path, capsys):
     bad = write(tmp_path / "bad.csv", "a,b\n1,2\n")
     assert main(["stats", "--fixture", bad, "--out", str(tmp_path / "o.json")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("bad CSV header ['a', 'b'], expected question_id,")
+    assert line.startswith(f"{bad}: bad CSV header ['a', 'b'], expected question_id,")
 
 
 def test_stats_on_a_header_only_fixture_is_one_exact_line(tmp_path, capsys):
@@ -1186,7 +1248,7 @@ def test_stats_fixture_with_an_oversized_field_is_a_one_line_error(tmp_path, cap
     out = tmp_path / "o.json"
     assert main(["stats", "--fixture", bad, "--out", str(out)]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith("CSV line 2: field larger than field limit")
+    assert line.startswith(f"{bad}: CSV line 2: field larger than field limit")
     assert not out.exists()
 
 
@@ -1227,7 +1289,7 @@ def test_stats_bad_fixture_number_is_a_one_line_error(tmp_path, capsys, cells, m
     bad = write(tmp_path / "bad.csv", f"{header}\n{rows}")
     out = tmp_path / "o.json"
     assert main(["stats", "--fixture", bad, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [message]
+    assert capsys.readouterr().err.splitlines() == [f"{bad}: {message}"]
     assert not out.exists()
 
 
