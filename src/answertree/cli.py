@@ -105,11 +105,16 @@ def _load(path: Path, parse: Callable[[str], _R]) -> _R:
         raise corpus.CorpusError(f"{path}: {exc}") from None
 
 
+def _answer_format(path: Path) -> str:
+    """An answer file's format: JSON if its name ends in ``.json``, in any
+    case, else CSV."""
+    return "json" if path.suffix.lower() == ".json" else "csv"
+
+
 def _load_answers(path: Path, parse: Callable[[str, str], _R]) -> _R:
     """``parse`` (``corpus.parse_answer_file`` or ``parse_ungraded_file``) on
-    an answer file: JSON if its name ends in ``.json``, in any case, else CSV."""
-    format = "json" if path.suffix.lower() == ".json" else "csv"
-    return _load(path, lambda text: parse(text, format))
+    an answer file in its ``_answer_format``."""
+    return _load(path, lambda text: parse(text, _answer_format(path)))
 
 
 def _load_prep(stopwords_path: str | None) -> frozenset[str]:
@@ -233,30 +238,43 @@ def _classify(
 def cmd_grade(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
     trees = _load_trees(args.trees)
-    pairs = _load_answers(Path(args.answers), corpus.parse_ungraded_file)
+    path = Path(args.answers)
+    rows = _load_answers(path, corpus.parse_ungraded_file)
     # writerow returns what write returns, and str hands back the very line.
     to_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
     lines = [to_line(header)]
     # A row's line is its (question, answer) pair written as CSV, then a
     # tail ",label,certainty,flagged,critical_word\n"; CSV quotes each field
-    # on its own, so the joined line has the bytes of the six-field row.
-    # Results are shared per tree leaf and kept alive by their tree (_BLANK
-    # by this module), so each distinct result's tail is written once, keyed
-    # by identity. Writing two fields per distinct pair instead of six pays
-    # for the pair map below on batches where every pair is new.
+    # on its own, so the joined line has the bytes of the six-field row. A
+    # quote-free CSV line is its own pair written as CSV, as csv.writer
+    # writes a field with no quote, comma, CR, LF or NUL as it is. Results
+    # are shared per tree leaf and kept alive by their tree (_BLANK by this
+    # module), so each distinct result's tail is written once, keyed by
+    # identity.
     tails: dict[int, str] = {}
-    # The line depends only on the pair, so each distinct pair is graded
-    # once and its line reused. The first row of a question is always a
-    # miss, so an unknown question is reported there.
-    graded: dict[tuple[str, str], str] = {}
-    for pair in pairs:
-        line = graded.get(pair)
+    # The line depends only on the row, so each distinct row is graded once
+    # and its line reused. The first row of a question is always a miss, so
+    # an unknown question is reported there.
+    graded: dict[str | tuple[str, ...], str] = {}
+    for row in rows:
+        line = graded.get(row)
         if line is None:
-            question_id, answer = pair
+            if not row:  # a blank record
+                continue
+            if type(row) is str:  # a quote-free line, checked to hold two fields
+                question_id, answer = row.split(",")
+                prefix = row
+            else:
+                question_id, answer = row
+                prefix = to_line(row)[:-1]
             tree = trees.get(question_id)
             if tree is None:
-                raise corpus.CorpusError(f"no trained tree for question {question_id!r}")
+                n = rows.index(row)  # a miss is its row's first occurrence
+                where = f"element {n}" if _answer_format(path) == "json" else f"row {n + 1}"
+                raise corpus.CorpusError(
+                    f"{path}: {where}: no trained tree for question {question_id!r}"
+                )
             result = _classify(tree, answer, stopwords)
             tail = tails.get(id(result))
             if tail is None:
@@ -269,7 +287,7 @@ def cmd_grade(args: argparse.Namespace) -> int:
                     "true" if flagged else "false",
                     result.critical_word or "",
                 ))
-            line = graded[pair] = to_line(pair)[:-1] + tail
+            line = graded[row] = prefix + tail
         lines.append(line)
     _atomic_write({Path(args.out): "".join(lines)})
     return 0

@@ -9,11 +9,11 @@ silently picking a side would corrupt training.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from enum import Enum
 from functools import cached_property
-from typing import Callable, NamedTuple, TypeVar
+from operator import length_hint
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from .textprep import DEFAULT_STOPWORDS, preprocess
 
@@ -129,8 +129,14 @@ def parse_answer_file(content: str, format: str) -> list[AnswerRecord]:
     return read_rows(content, format, CSV_HEADER, build)
 
 
-def parse_ungraded_file(content: str, format: str) -> list[tuple[str, str]]:
-    """Parse an ungraded answer file into (question_id, answer) pairs."""
+def parse_ungraded_file(content: str, format: str) -> list[str | tuple[str, ...]]:
+    """Parse an ungraded answer file into one row per record, in file order:
+    row ``i`` is CSV row ``i + 1`` or JSON element ``i``. A CSV record that
+    is one line with no '"', CR or NUL is that line: blank, or two fields
+    split at its one comma. Any other row is the tuple of its fields: a
+    (question_id, answer) pair, or () for a blank record."""
+    if format == "csv":
+        return _read_csv(content, UNGRADED_CSV_HEADER, None)
     return read_rows(content, format, UNGRADED_CSV_HEADER, tuple)
 
 
@@ -145,52 +151,126 @@ def read_rows(
     column as a key, each value a string or a number read as its text; a
     string must encode as UTF-8, so a lone surrogate escape is an error.
     ``build`` makes each row's item from its fields and raises ValueError on
-    a bad one. The first bad row in file order raises CorpusError naming it.
+    a bad one; CSV rows that are the same one line share one item, built
+    once. The first bad row in file order raises CorpusError naming it.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown answer file format {format!r}")
-    width = len(columns)
+    if format == "csv":
+        return _read_csv(content, columns, build)
+    try:
+        # A number is read as its text: 1e400 stays "1e400", not "inf".
+        data = json.loads(content, parse_float=str, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:  # also an over-long integer
+        raise CorpusError(f"invalid JSON: {exc}") from None
+    if not isinstance(data, list):
+        raise CorpusError("JSON answer file must be an array of objects")
     items = []
     try:
-        if format == "csv":
-            reader = csv.reader(io.StringIO(content))
-            header = next(reader, None)
-            if header is None:
-                raise CorpusError("empty CSV file")
-            if [h.strip() for h in header] != columns:
-                raise CorpusError(
-                    f"bad CSV header {header!r}, expected {','.join(columns)}"
-                )
-            where, rows = "row", enumerate(reader, start=1)
-        else:
+        for n, element in enumerate(data):
+            if not isinstance(element, dict):
+                raise ValueError("expected an object")
             try:
-                # A number is read as its text: 1e400 stays "1e400", not "inf".
-                data = json.loads(content, parse_float=str, parse_constant=_reject_constant)
-            except (ValueError, RecursionError) as exc:  # also an over-long integer
-                raise CorpusError(f"invalid JSON: {exc}") from None
-            if not isinstance(data, list):
-                raise CorpusError("JSON answer file must be an array of objects")
-            where, rows = "element", enumerate(data)
-        for n, row in rows:
-            if where == "element":
-                if not isinstance(row, dict):
-                    raise ValueError("expected an object")
-                try:
-                    row = [_json_text(c, row[c]) for c in columns]
-                except KeyError:
-                    missing = ", ".join(c for c in columns if c not in row)
-                    raise ValueError(f"missing key(s) {missing}") from None
-            elif not row:
-                continue
-            elif len(row) != width:
-                raise ValueError(f"expected {width} columns, got {len(row)}")
-            if not row[0].strip():
-                raise ValueError("empty question_id")
+                row = [_json_text(c, element[c]) for c in columns]
+            except KeyError:
+                missing = ", ".join(c for c in columns if c not in element)
+                raise ValueError(f"missing key(s) {missing}") from None
+            _check_row(row, len(columns))
             items.append(build(row))
     except ValueError as exc:
-        raise CorpusError(f"{where} {n}: {exc}") from None
-    except csv.Error as exc:
-        raise CorpusError(f"CSV line {reader.line_num}: {exc}") from None
+        raise CorpusError(f"element {n}: {exc}") from None
+    return items
+
+
+def _check_row(row: list[str], width: int) -> None:
+    """Raise ValueError unless ``row`` has ``width`` fields, the first not blank."""
+    if len(row) != width:
+        raise ValueError(f"expected {width} columns, got {len(row)}")
+    if not row[0].strip():
+        raise ValueError("empty question_id")
+
+
+def _read_csv(
+    content: str, columns: list[str], build: Callable[[list[str]], _T] | None
+) -> list:
+    """The items of a CSV text's records after its header ``columns``, in
+    file order: ``build`` on each non-blank record's checked fields or, with
+    no ``build``, every record's row as ``parse_ungraded_file`` gives it.
+
+    The text is walked line by line. At a record's start, a line with no
+    '"', CR or NUL, and no longer than ``csv.field_size_limit()``, is a whole
+    record split at commas, as ``csv.reader`` splits it; any other line goes
+    to one ``csv.reader``, which pulls the lines its record spans. Row
+    numbers and ``CSV line N`` are the ones a ``csv.reader`` on the whole
+    text gives. A one-line record whose line came before is not read again:
+    it shares that line's item.
+    """
+    lines = content.split("\n")
+    open_end = lines[-1] != ""  # the last line has no newline
+    if not open_end:
+        lines.pop()  # the empty text after the final newline
+    rest = iter(lines)
+    limit = csv.field_size_limit()
+    start: str | None = None  # the line, already read, of the reader's next record
+
+    def pull() -> Iterator[str]:
+        nonlocal start
+        while True:
+            line, start = start, None
+            if line is None:
+                line = next(rest, None)
+                if line is None:
+                    return
+            # The reader sees each line as a file holds it.
+            yield line if open_end and not length_hint(rest) else line + "\n"
+
+    reader = csv.reader(pull())
+
+    def parse(line: str) -> list[str]:
+        """The fields of the record that starts at ``line``, the last line
+        read, by the reader."""
+        nonlocal start
+        start = line
+        try:
+            return next(reader)
+        except csv.Error as exc:
+            raise CorpusError(f"CSV line {len(lines) - length_hint(rest)}: {exc}") from None
+
+    if not lines:
+        raise CorpusError("empty CSV file")
+    width = len(columns)
+    items: list = []
+    built: dict = {}  # the item of each one-line record, by its line
+    try:
+        for n, line in enumerate(rest):  # record 0 is the header
+            item = built.get(line)
+            if item is None:
+                plain = not ('"' in line or "\r" in line or "\0" in line or len(line) > limit)
+                if plain:
+                    row = line.split(",") if line else []
+                else:
+                    left = length_hint(rest)
+                    row = parse(line)
+                if not n:
+                    if [h.strip() for h in row] != columns:
+                        raise CorpusError(
+                            f"bad CSV header {row!r}, expected {','.join(columns)}"
+                        )
+                    continue
+                if row:
+                    if len(row) != width or not row[0].strip():
+                        _check_row(row, width)
+                elif build is not None:
+                    continue  # a blank record
+                if build is not None:
+                    item = build(row)
+                else:
+                    item = line if plain else tuple(row)
+                if plain or length_hint(rest) == left:  # the record is this line
+                    built[line] = item
+            items.append(item)
+    except ValueError as exc:
+        raise CorpusError(f"row {n}: {exc}") from None
     return items
 
 

@@ -13,3 +13,11 @@ def reference_tables_path() -> Path:
 @pytest.fixture(scope="session")
 def example_tree_path() -> Path:
     return FIXTURES / "example.tree.json"
+
+
+@pytest.fixture(scope="session")
+def mixed_batch_path() -> Path:
+    """A Q52 batch with a byte-order mark, quote-free lines, a quoted comma,
+    a doubled quote, an answer spanning two lines, blank lines and blank
+    answers, and repeated lines of each kind."""
+    return FIXTURES / "mixed_batch.csv"

@@ -401,6 +401,102 @@ def test_grade_reuses_each_pair_line_only_for_that_pair(
     assert sorted(calls) == sorted(q for q, _ in pairs)
 
 
+def _crlf_copy(text):
+    """``text``, a CSV batch, as a spreadsheet writes it: every record ends
+    in CRLF, and a line break inside an answer stays LF."""
+    out = io.StringIO()
+    rows = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    csv.writer(out, lineterminator="\r\n").writerows(rows)
+    return "\ufeff" + out.getvalue()
+
+
+@pytest.mark.parametrize("threshold", ["0", "0.97", "1"])
+@pytest.mark.parametrize("endings", ["lf", "crlf"])
+def test_grade_mixed_batch_equals_rows_formatted_from_classify(
+    tmp_path, reproducible_clock, example_tree_path, mixed_batch_path, threshold, endings
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    text = mixed_batch_path.read_text(encoding="utf-8")
+    assert text.startswith("\ufeff") and "\r" not in text
+    if endings == "crlf":
+        text = _crlf_copy(text)
+    ungraded = write(tmp_path / "new.csv", text)
+    rows = [tuple(r) for r in csv.reader(io.StringIO(text.removeprefix("\ufeff")))][1:]
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv + ["--threshold", threshold]) == 0
+    want = _rows_formatted_from_classify(trees, [r for r in rows if r], threshold)
+    assert out.read_bytes() == want
+
+
+@pytest.mark.parametrize("endings", ["lf", "crlf"])
+def test_grade_reads_and_grades_a_repeated_line_once(
+    tmp_path, monkeypatch, reproducible_clock, example_tree_path, mixed_batch_path, endings
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    text = mixed_batch_path.read_text(encoding="utf-8")
+    if endings == "crlf":
+        text = _crlf_copy(text)
+    ungraded = write(tmp_path / "new.csv", text)
+    records = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))[1:]
+    calls, handed, parsed = [], [], []
+    real_reader, real_parse = csv.reader, corpus.parse_ungraded_file
+
+    def counting_classify(tree, words):
+        calls.append(words)
+        return classify(tree, words)
+
+    def spying_reader(lines):
+        """csv.reader, noting the lines each record it returns was read from."""
+        pulled = []
+
+        def pulling():
+            for line in lines:
+                pulled.append(line)
+                yield line
+
+        reader = real_reader(pulling())
+        while True:
+            start = len(pulled)
+            row = next(reader, None)
+            if row is None:
+                return
+            handed.append(pulled[start:])
+            yield row
+
+    def spying_parse(content, format):
+        parsed.append(real_parse(content, format))
+        return parsed[-1]
+
+    monkeypatch.setattr(dtree, "classify", counting_classify)
+    monkeypatch.setattr(csv, "reader", spying_reader)
+    monkeypatch.setattr(corpus, "parse_ungraded_file", spying_parse)
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded]
+    assert main(argv + ["--out", str(tmp_path / "graded.csv")]) == 0
+    monkeypatch.undo()
+    (rows,) = parsed
+    # csv.reader is handed only lines holding a quote or a CR: a record
+    # starts at one, and the two-line answer ends in its closing quote. No
+    # record is handed twice, though each of them repeats in the batch.
+    assert all('"' in line or "\r" in line for lines in handed for line in lines)
+    firsts = [lines[0] for lines in handed]
+    assert len(set(firsts)) == len(firsts)
+    if endings == "lf":
+        assert firsts == [
+            'Q52,"papillary, muscles"\n',
+            'Q52,"the ""papillary"" muscles"\n',
+            'Q52,"atrial\n',
+        ]
+    # One row per record, and a repeated line is not read again: its row is
+    # the first one's object.
+    assert len(rows) == len(records)
+    first_of = {}
+    for row in rows:
+        assert first_of.setdefault(row, row) is row
+    # One classify call per distinct record with a non-blank answer.
+    assert len(calls) == len({tuple(r) for r in records if r and r[1].strip()}) == 7
+
+
 def test_grade_unknown_question_after_repeated_rows_is_exit_1(
     tmp_path, capsys, reproducible_clock, example_tree_path
 ):
@@ -412,8 +508,44 @@ def test_grade_unknown_question_after_repeated_rows_is_exit_1(
     argv = ["grade", "--trees", str(trees), "--answers", ungraded]
     assert main(argv + ["--out", str(out_dir / "graded.csv")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
-    assert line == "no trained tree for question 'q9'"
+    # REUSE_BATCH's records are rows 1-34; one answer spans two lines.
+    assert line == f"{ungraded}: row 35: no trained tree for question 'q9'"
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_grade_unknown_question_names_its_first_row(
+    tmp_path, capsys, reproducible_clock, example_tree_path, suffix
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    rows = [("q1", "alpha"), ("q9", "x"), ("q8", "y"), ("q9", "x"), ("q2", "beta")]
+    if suffix == "json":
+        elements = [{"question_id": q, "answer": a} for q, a in rows]
+        ungraded = write(tmp_path / "new.json", json.dumps(elements))
+        where = "element 1"
+    else:  # blank lines count in row numbers
+        ungraded = write(tmp_path / "new.csv", "question_id,answer\n\nq1,alpha\n\n"
+                         + "".join(f"{q},{a}\n" for q, a in rows[1:]))
+        where = "row 4"
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"{ungraded}: {where}: no trained tree for question 'q9'\n"
+    )
+    assert not out.exists()
+
+
+def test_grade_bad_row_after_an_unknown_question_is_the_error(
+    tmp_path, capsys, reproducible_clock, example_tree_path
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    ungraded = write(tmp_path / "new.csv", "question_id,answer\nq9,x\nq1,alpha\nq1\n")
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"{ungraded}: row 3: expected 2 columns, got 1\n"
+    assert not out.exists()
 
 
 def test_grade_missing_tree_is_exit_1(tmp_path, capsys):

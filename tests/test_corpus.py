@@ -3,7 +3,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from answertree.corpus import (
@@ -124,13 +124,29 @@ def test_json_string_with_a_lone_surrogate_names_its_element(parse, column, text
 
 
 def test_parse_ungraded_file():
-    assert parse_ungraded_file("question_id,answer\nq1,valve\nq2,\n", "csv") == [
-        ("q1", "valve"),
-        ("q2", ""),
+    # One row per record: a quote-free line is itself, blank or not; any
+    # other record is the tuple of its fields.
+    content = 'question_id,answer\nq1,valve\nq2,\n\nq1,"a, b"\r\nq3,"x\ny"\n\r\n'
+    assert parse_ungraded_file(content, "csv") == [
+        "q1,valve", "q2,", "", ("q1", "a, b"), ("q3", "x\ny"), (),
     ]
     assert parse_ungraded_file('[{"question_id":"q1","answer":"x"}]', "json") == [
         ("q1", "x")
     ]
+
+
+def test_reader_reads_a_repeated_line_once():
+    built = []
+
+    def build(row):
+        built.append(row)
+        return tuple(row)
+
+    content = HEADER + 'q1,valve,correct\nq1,"a, b",0\nq1,valve,correct\nq1,"a, b",0\n'
+    records = read_rows(content, "csv", CSV_HEADER, build)
+    assert records == [("q1", "valve", "correct"), ("q1", "a, b", "0")] * 2
+    assert built == [["q1", "valve", "correct"], ["q1", "a, b", "0"]]
+    assert records[0] is records[2] and records[1] is records[3]
 
 
 GRADED_JSON_FIRST_BAD = json.dumps(
@@ -428,3 +444,91 @@ def test_reader_returns_utf8_rows_or_raises_answer_file_error(columns, parse, da
         for value in item:
             if isinstance(value, str):
                 value.encode("utf-8")
+
+
+def csv_reader_rows(content, columns):
+    """What ``read_rows(content, "csv", columns, tuple)`` reads, with blank
+    records kept as (): one ``csv.reader`` over the whole text, the oracle."""
+    reader = csv.reader(io.StringIO(content))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise CorpusError("empty CSV file")
+        if [h.strip() for h in header] != columns:
+            raise CorpusError(f"bad CSV header {header!r}, expected {','.join(columns)}")
+        rows = []
+        for n, row in enumerate(reader, start=1):
+            if row and len(row) != len(columns):
+                raise CorpusError(f"row {n}: expected {len(columns)} columns, got {len(row)}")
+            if row and not row[0].strip():
+                raise CorpusError(f"row {n}: empty question_id")
+            rows.append(tuple(row))
+    except csv.Error as exc:
+        raise CorpusError(f"CSV line {reader.line_num}: {exc}") from None
+    return rows
+
+
+def outcome(read):
+    try:
+        return read(), None
+    except CorpusError as exc:
+        return None, str(exc)
+
+
+def written_row(fields, terminator):
+    out = io.StringIO()
+    csv.writer(out, lineterminator=terminator).writerow(fields)
+    return out.getvalue()
+
+
+# Text made mostly of the characters that decide how CSV splits it.
+csv_char = st.sampled_from(list('ab ,,""\n\r\0'))
+csv_chunk = st.one_of(
+    st.text(csv_char, max_size=16),  # stray quotes, CRs, NULs and no final newline
+    st.builds(  # a record as csv.writer writes it, quoted where it must be
+        written_row,
+        st.lists(st.text(csv_char, max_size=14), max_size=3),
+        st.sampled_from(["\n", "\r\n"]),
+    ),
+    st.sampled_from([
+        "\n", "\r\n", "a,b\n",  # blank lines and a repeated line
+        'a,"b',  # a quoted field still open where the text ends
+        'a,"b\nc"\n', 'a,"b\nd"\n',  # one first line, two records
+        "a" * 14 + ",b\n",  # a quote-free field over a lowered limit
+    ]),
+)
+
+
+@pytest.mark.parametrize("columns", [UNGRADED_CSV_HEADER, CSV_HEADER], ids=["ungraded", "graded"])
+@settings(max_examples=300)
+@given(
+    header=st.sampled_from(["{}\n", "{}\r\n", "{}", '"{}"\n', "x\n", "\n", ""]),
+    chunks=st.lists(csv_chunk, max_size=8),
+    # 11 is the longest header field; a field over the limit is a csv.Error.
+    limit=st.sampled_from([None, 11, 13]),
+)
+def test_reader_reads_csv_as_one_csv_reader_does(columns, header, chunks, limit):
+    content = header.format(",".join(columns)) + "".join(chunks)
+    if limit is not None:
+        old_limit = csv.field_size_limit(limit)
+    try:
+        want, want_error = outcome(lambda: csv_reader_rows(content, columns))
+        got, got_error = outcome(lambda: read_rows(content, "csv", columns, tuple))
+        assert got_error == want_error
+        if want is not None:
+            assert got == [row for row in want if row]
+        if columns == UNGRADED_CSV_HEADER:
+            rows, rows_error = outcome(lambda: parse_ungraded_file(content, "csv"))
+            assert rows_error == want_error
+            if want is not None:
+                # A row is its line only when the line is quote-free.
+                for row in rows:
+                    if isinstance(row, str):
+                        assert not any(c in row for c in '"\r\n\0'), row
+                assert [
+                    tuple(row.split(",")) if isinstance(row, str) and row else tuple(row)
+                    for row in rows
+                ] == want
+    finally:
+        if limit is not None:
+            csv.field_size_limit(old_limit)
