@@ -15,6 +15,7 @@ import os
 import stat
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, TextIO, TypeVar
@@ -228,68 +229,64 @@ _BLANK = dtree.Classification(corpus.Label.INCORRECT, 1.0, (), None, False)
 
 
 def _classify(
-    tree: dtree.DecisionTree, answer: str, stopwords: frozenset[str]
+    tree: dtree.DecisionTree, answer: str, dropped: frozenset[str]
 ) -> dtree.Classification:
+    """``classify(tree, preprocess(answer, stopwords))`` for ``dropped =
+    tree.vocabulary & stopwords``: the walk looks up only the tree's words,
+    so only those stopwords need to leave the answer's list of words."""
     if not answer.strip():
         return _BLANK
-    return dtree.classify(tree, textprep.preprocess(answer, stopwords))
+    words = textprep.words(answer)
+    if dropped:  # the tree was trained with other stopwords
+        words = [word for word in words if word not in dropped]
+    if len(words) > 64:  # the walk scans a list once per test it passes
+        return dtree.classify(tree, frozenset(words))
+    return dtree.classify(tree, words)
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
-    trees = _load_trees(args.trees)
+    loaded = _load_trees(args.trees)
+    trees = {q: (tree, tree.vocabulary & stopwords) for q, tree in loaded.items()}
     path = Path(args.answers)
-    rows = _load_answers(path, corpus.parse_ungraded_file)
     # writerow returns what write returns, and str hands back the very line.
     to_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
-    lines = [to_line(header)]
-    # A row's line is its (question, answer) pair written as CSV, then a
-    # tail ",label,certainty,flagged,critical_word\n"; CSV quotes each field
-    # on its own, so the joined line has the bytes of the six-field row. A
-    # quote-free CSV line is its own pair written as CSV, as csv.writer
-    # writes a field with no quote, comma, CR, LF or NUL as it is. Results
-    # are shared per tree leaf and kept alive by their tree (_BLANK by this
-    # module), so each distinct result's tail is written once, keyed by
-    # identity.
+    # Results are shared per tree leaf and kept alive by their tree (_BLANK
+    # by this module), so each distinct result's tail is written once, keyed
+    # by identity.
     tails: dict[int, str] = {}
-    # The line depends only on the row, so each distinct row is graded once
-    # and its line reused. The first row of a question is always a miss, so
-    # an unknown question is reported there.
-    graded: dict[str | tuple[str, ...], str] = {}
-    for row in rows:
-        line = graded.get(row)
-        if line is None:
-            if not row:  # a blank record
-                continue
-            if type(row) is str:  # a quote-free line, checked to hold two fields
-                question_id, answer = row.split(",")
-                prefix = row
-            else:
-                question_id, answer = row
-                prefix = to_line(row)[:-1]
-            tree = trees.get(question_id)
-            if tree is None:
-                n = rows.index(row)  # a miss is its row's first occurrence
-                where = f"element {n}" if _answer_format(path) == "json" else f"row {n + 1}"
-                raise corpus.CorpusError(
-                    f"{path}: {where}: no trained tree for question {question_id!r}"
-                )
-            result = _classify(tree, answer, stopwords)
-            tail = tails.get(id(result))
-            if tail is None:
-                certainty = result.certainty
-                flagged = certainty < args.threshold or result.out_of_vocabulary
-                tail = tails[id(result)] = to_line((
-                    "",
-                    result.label.value,
-                    f"{certainty:.4f}",
-                    "true" if flagged else "false",
-                    result.critical_word or "",
-                ))
-            line = graded[row] = prefix + tail
-        lines.append(line)
-    _atomic_write({Path(args.out): "".join(lines)})
+
+    def grade(row: list[str], line: str | None) -> str:
+        """A record's output line: its pair written as CSV (a quote-free line
+        already is), then ``,label,certainty,flagged,critical_word`` and LF.
+        CSV quotes each field on its own, so the joined line has the bytes of
+        the six-field row."""
+        question_id, answer = row
+        try:
+            tree, dropped = trees[question_id]
+        except KeyError:
+            raise ValueError(f"no trained tree for question {question_id!r}") from None
+        result = _classify(tree, answer, dropped)
+        tail = tails.get(id(result))
+        if tail is None:
+            certainty = result.certainty
+            flagged = certainty < args.threshold or result.out_of_vocabulary
+            tail = tails[id(result)] = to_line((
+                "",
+                result.label.value,
+                f"{certainty:.4f}",
+                "true" if flagged else "false",
+                result.critical_word or "",
+            ))
+        return (to_line(row)[:-1] if line is None else line) + tail
+
+    try:
+        lines = _load_answers(path, partial(corpus.parse_ungraded_file, build=grade))
+    except corpus.CorpusError:  # a bad row anywhere in the batch is reported first
+        _load_answers(path, partial(corpus.parse_ungraded_file, build=lambda row, line: None))
+        raise
+    header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
+    _atomic_write({Path(args.out): to_line(header) + "".join(lines)})
     return 0
 
 
@@ -436,7 +433,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
     tree = _load(Path(args.tree), dtree.deserialize_tree)
-    print(dtree.explain(_classify(tree, args.answer, stopwords)))
+    print(dtree.explain(_classify(tree, args.answer, tree.vocabulary & stopwords)))
     return 0
 
 

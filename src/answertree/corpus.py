@@ -129,15 +129,16 @@ def parse_answer_file(content: str, format: str) -> list[AnswerRecord]:
     return read_rows(content, format, CSV_HEADER, build)
 
 
-def parse_ungraded_file(content: str, format: str) -> list[str | tuple[str, ...]]:
-    """Parse an ungraded answer file into one row per record, in file order:
-    row ``i`` is CSV row ``i + 1`` or JSON element ``i``. A CSV record that
-    is one line with no '"', CR or NUL is that line: blank, or two fields
-    split at its one comma. Any other row is the tuple of its fields: a
-    (question_id, answer) pair, or () for a blank record."""
+def parse_ungraded_file(
+    content: str, format: str, build: Callable[[list[str], str | None], _T]
+) -> list[_T]:
+    """Read an ungraded answer file as ``read_rows`` does, with ``build(row,
+    line)``: ``line`` is the record's own text when it is one CSV line with
+    no '"', CR or NUL, so ``row`` is that line split at its one comma, and
+    None for any other record."""
     if format == "csv":
-        return _read_csv(content, UNGRADED_CSV_HEADER, None)
-    return read_rows(content, format, UNGRADED_CSV_HEADER, tuple)
+        return _read_csv(content, UNGRADED_CSV_HEADER, build)
+    return read_rows(content, format, UNGRADED_CSV_HEADER, lambda row: build(row, None))
 
 
 def read_rows(
@@ -151,13 +152,15 @@ def read_rows(
     column as a key, each value a string or a number read as its text; a
     string must encode as UTF-8, so a lone surrogate escape is an error.
     ``build`` makes each row's item from its fields and raises ValueError on
-    a bad one; CSV rows that are the same one line share one item, built
-    once. The first bad row in file order raises CorpusError naming it.
+    a bad one. Identical records share one item, built once, in every
+    format: a one-line CSV record is known by its line, and a record that
+    spans lines or a JSON element by its fields. The first bad row in file
+    order raises CorpusError naming it.
     """
     if format not in ("csv", "json"):
         raise ValueError(f"unknown answer file format {format!r}")
     if format == "csv":
-        return _read_csv(content, columns, build)
+        return _read_csv(content, columns, lambda row, line: build(row))
     try:
         # A number is read as its text: 1e400 stays "1e400", not "inf".
         data = json.loads(content, parse_float=str, parse_constant=_reject_constant)
@@ -166,6 +169,7 @@ def read_rows(
     if not isinstance(data, list):
         raise CorpusError("JSON answer file must be an array of objects")
     items = []
+    built: dict[tuple[str, ...], _T] = {}  # the item of each element, by its fields
     try:
         for n, element in enumerate(data):
             if not isinstance(element, dict):
@@ -176,7 +180,10 @@ def read_rows(
                 missing = ", ".join(c for c in columns if c not in element)
                 raise ValueError(f"missing key(s) {missing}") from None
             _check_row(row, len(columns))
-            items.append(build(row))
+            item = built.get(key := tuple(row))
+            if item is None:
+                item = built[key] = build(row)
+            items.append(item)
     except ValueError as exc:
         raise CorpusError(f"element {n}: {exc}") from None
     return items
@@ -191,19 +198,20 @@ def _check_row(row: list[str], width: int) -> None:
 
 
 def _read_csv(
-    content: str, columns: list[str], build: Callable[[list[str]], _T] | None
-) -> list:
-    """The items of a CSV text's records after its header ``columns``, in
-    file order: ``build`` on each non-blank record's checked fields or, with
-    no ``build``, every record's row as ``parse_ungraded_file`` gives it.
+    content: str, columns: list[str], build: Callable[[list[str], str | None], _T]
+) -> list[_T]:
+    """The items of a CSV text's non-blank records after its header
+    ``columns``, in file order: ``build`` on each distinct record's checked
+    fields and, as ``parse_ungraded_file`` gives it, its line or None.
 
     The text is walked line by line. At a record's start, a line with no
     '"', CR or NUL, and no longer than ``csv.field_size_limit()``, is a whole
     record split at commas, as ``csv.reader`` splits it; any other line goes
     to one ``csv.reader``, which pulls the lines its record spans. Row
     numbers and ``CSV line N`` are the ones a ``csv.reader`` on the whole
-    text gives. A one-line record whose line came before is not read again:
-    it shares that line's item.
+    text gives. A one-line record whose line came before is not read again,
+    and a record spanning lines whose fields came before is not built again:
+    each shares the earlier record's item.
     """
     lines = content.split("\n")
     open_end = lines[-1] != ""  # the last line has no newline
@@ -239,8 +247,8 @@ def _read_csv(
     if not lines:
         raise CorpusError("empty CSV file")
     width = len(columns)
-    items: list = []
-    built: dict = {}  # the item of each one-line record, by its line
+    items: list[_T] = []
+    built: dict[str | tuple[str, ...], _T] = {}  # by line, or by fields if it spans lines
     try:
         for n, line in enumerate(rest):  # record 0 is the header
             item = built.get(line)
@@ -257,17 +265,15 @@ def _read_csv(
                             f"bad CSV header {row!r}, expected {','.join(columns)}"
                         )
                     continue
-                if row:
-                    if len(row) != width or not row[0].strip():
-                        _check_row(row, width)
-                elif build is not None:
+                if not row:
                     continue  # a blank record
-                if build is not None:
-                    item = build(row)
-                else:
-                    item = line if plain else tuple(row)
-                if plain or length_hint(rest) == left:  # the record is this line
-                    built[line] = item
+                if len(row) != width or not row[0].strip():
+                    _check_row(row, width)
+                key: str | tuple[str, ...] = line
+                if not plain and length_hint(rest) != left:  # the record spans lines
+                    item = built.get(key := tuple(row))
+                if item is None:
+                    item = built[key] = build(row, line if plain else None)
             items.append(item)
     except ValueError as exc:
         raise CorpusError(f"row {n}: {exc}") from None

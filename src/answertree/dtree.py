@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
@@ -280,8 +280,9 @@ def build_tree(
     return _tree(dataset.question_id, rows, min_gain, trained_at)
 
 
-def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classification:
-    """Grade one preprocessed answer by walking the tree's arrays to a leaf.
+def classify(tree: DecisionTree, features: Collection[str]) -> Classification:
+    """Grade one answer, given as any collection of its words, by walking the
+    tree's arrays to a leaf; only the tree's own words are looked up in it.
 
     The path to a leaf fixes its result, so a leaf's result is built the
     first time an answer reaches it and shared by every later one. An answer
@@ -301,7 +302,7 @@ def classify(tree: DecisionTree, features: frozenset[str] | set[str]) -> Classif
 
 
 def _leaf_result(
-    tree: DecisionTree, features: frozenset[str] | set[str], out_of_vocabulary: bool
+    tree: DecisionTree, features: Collection[str], out_of_vocabulary: bool
 ) -> Classification:
     """The result of walking ``features`` down ``tree``, with a step per test."""
     words, false_index = tree.words, tree.false_index

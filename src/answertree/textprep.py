@@ -25,10 +25,16 @@ DEFAULT_STOPWORDS = frozenset(
 _WORD_LOWER = re.compile(r"[0-9a-z]+")
 
 
+def words(text: str) -> list[str]:
+    """The text's words, in order: lowercase, split on non-alphanumeric runs;
+    repeats and stopwords are kept."""
+    return _WORD_LOWER.findall(text.lower())
+
+
 def preprocess(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> frozenset[str]:
-    """Full pipeline: lowercase, split on non-alphanumeric runs, collapse to a
-    presence-only word set (in-answer frequency is discarded), drop stopwords."""
-    return frozenset(_WORD_LOWER.findall(text.lower())) - stopwords
+    """Full pipeline: the text's ``words`` collapsed to a presence-only word
+    set (in-answer frequency is discarded), less the stopwords."""
+    return frozenset(words(text)) - stopwords
 
 
 def parse_stopword_file(content: str) -> frozenset[str]:

@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import answertree
-from answertree import corpus, dtree, evaluation
+from answertree import cli, corpus, dtree, evaluation, textprep
 from answertree.cli import _atomic_write, main
 from answertree.corpus import CSV_HEADER, UNGRADED_CSV_HEADER
 from answertree.dtree import classify, deserialize_tree
 from answertree.evaluation import REPORT_CSV_HEADER
-from answertree.textprep import preprocess
+from answertree.textprep import DEFAULT_STOPWORDS, preprocess
 
 SRC = str(Path(answertree.__file__).resolve().parent.parent)
 
@@ -321,9 +321,9 @@ def _batch_file(path, rows):
     return write(path, batch.getvalue())
 
 
-def _rows_formatted_from_classify(trees, rows, threshold):
+def _rows_formatted_from_classify(trees, rows, threshold, stopwords=DEFAULT_STOPWORDS):
     """The graded CSV built from fresh trees, formatting every row from its
-    own classify result."""
+    own classify result on the answer's word set less ``stopwords``."""
     loaded = {
         path.name.split(".")[0]: deserialize_tree(path.read_text(encoding="utf-8"))
         for path in trees.glob("*.tree.json")
@@ -337,7 +337,7 @@ def _rows_formatted_from_classify(trees, rows, threshold):
         if not answer.strip():
             writer.writerow([question_id, answer, "incorrect", "1.0000", "false", ""])
             continue
-        result = classify(loaded[question_id], preprocess(answer))
+        result = classify(loaded[question_id], preprocess(answer, stopwords))
         flagged = result.certainty < float(threshold) or result.out_of_vocabulary
         writer.writerow([
             question_id, answer, result.label.value, f"{result.certainty:.4f}",
@@ -464,8 +464,8 @@ def test_grade_reads_and_grades_a_repeated_line_once(
             handed.append(pulled[start:])
             yield row
 
-    def spying_parse(content, format):
-        parsed.append(real_parse(content, format))
+    def spying_parse(content, format, build):
+        parsed.append(real_parse(content, format, build))
         return parsed[-1]
 
     monkeypatch.setattr(dtree, "classify", counting_classify)
@@ -474,7 +474,7 @@ def test_grade_reads_and_grades_a_repeated_line_once(
     argv = ["grade", "--trees", str(trees), "--answers", ungraded]
     assert main(argv + ["--out", str(tmp_path / "graded.csv")]) == 0
     monkeypatch.undo()
-    (rows,) = parsed
+    (lines,) = parsed
     # csv.reader is handed only lines holding a quote or a CR: a record
     # starts at one, and the two-line answer ends in its closing quote. No
     # record is handed twice, though each of them repeats in the batch.
@@ -487,14 +487,156 @@ def test_grade_reads_and_grades_a_repeated_line_once(
             'Q52,"the ""papillary"" muscles"\n',
             'Q52,"atrial\n',
         ]
-    # One row per record, and a repeated line is not read again: its row is
-    # the first one's object.
-    assert len(rows) == len(records)
+    # One output line per non-blank record, and a repeated record is not
+    # graded again: its line is the first one's object.
+    assert len(lines) == len([r for r in records if r])
     first_of = {}
-    for row in rows:
-        assert first_of.setdefault(row, row) is row
+    for line in lines:
+        assert first_of.setdefault(line, line) is line
     # One classify call per distinct record with a non-blank answer.
     assert len(calls) == len({tuple(r) for r in records if r and r[1].strip()}) == 7
+
+
+def test_grade_classifies_each_distinct_json_element_and_multiline_record_once(
+    tmp_path, monkeypatch, reproducible_clock, example_tree_path
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    rows = [
+        ("Q52", "atrial\npapillary muscles"), ("q1", "alpha gamma"), ("q1", ""),
+        ("Q52", "atrial\npapillary muscles"), ("q2", "alpha gamma"), ("q1", "alpha gamma"),
+        ("q1", ""), ("Q52", "atrial\npapillary muscles"), ("Q52", 'the "papillary"'),
+        ("Q52", 'the "papillary"'),
+    ]
+    elements = [{"question_id": q, "answer": a} for q, a in rows]
+    batches = [
+        _batch_file(tmp_path / "new.csv", rows),  # a two-line quoted record, three times
+        write(tmp_path / "new.json", json.dumps(elements)),
+    ]
+    want = _rows_formatted_from_classify(trees, rows, "0.7")
+    for ungraded in batches:
+        calls = []
+
+        def counting_classify(tree, words):
+            calls.append(tree.question_id)
+            return classify(tree, words)
+
+        monkeypatch.setattr(dtree, "classify", counting_classify)
+        out = tmp_path / "graded.csv"
+        argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == want
+        assert len(calls) == len({(q, a) for q, a in rows if a.strip()}) == 4
+
+
+def test_grade_and_explain_classify_a_list_of_words_and_never_preprocess(
+    tmp_path, monkeypatch, reproducible_clock, example_tree_path
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    ungraded = _batch_file(tmp_path / "new.csv", GRADE_BATCH)
+    kinds = []
+
+    def spying_classify(tree, words):
+        kinds.append(type(words))
+        return classify(tree, words)
+
+    def no_preprocess(text, stopwords=DEFAULT_STOPWORDS):
+        pytest.fail(f"preprocess({text!r}) was called")
+
+    monkeypatch.setattr(dtree, "classify", spying_classify)
+    monkeypatch.setattr(textprep, "preprocess", no_preprocess)
+    out = tmp_path / "graded.csv"
+    argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+    assert main(argv) == 0
+    argv = ["explain", "--tree", str(example_tree_path), "--answer", "the papillary muscles"]
+    assert main(argv) == 0
+    assert len(kinds) > 1 and set(kinds) == {list}
+    monkeypatch.undo()
+    assert out.read_bytes() == _rows_formatted_from_classify(trees, GRADE_BATCH, "0.7")
+
+
+# "the" alone tells each correct answer from an incorrect one, so a tree
+# trained with no stopwords tests it, and the default list hides it.
+THE_SPLITS = "question_id,answer,label\n" + "".join(
+    f"q1,the {text},correct\nq1,{text},incorrect\n"
+    for text in ("mitral valve", "tricuspid valve", "septum", "apex")
+)
+
+
+def test_grade_with_the_stopwords_a_tree_was_not_trained_with(
+    tmp_path, reproducible_clock, example_tree_path
+):
+    trees = tmp_path / "trees"
+    none = write(tmp_path / "none.txt", "# no stopwords\n")
+    answers = write(tmp_path / "answers.csv", THE_SPLITS)
+    assert main(["train", "--answers", answers, "--out", str(trees), "--stopwords", none]) == 0
+    assert json.loads((trees / "q1.tree.json").read_text())["root"]["word"] == "the"
+    shutil.copy(example_tree_path, trees / "Q52.tree.json")  # trained with the default list
+    rows = [
+        ("q1", "the mitral valve"), ("q1", "mitral valve"), ("q1", "The septum"),
+        ("q1", "THE"), ("q1", "the the apex"), ("q1", "novel words"), ("q1", "a septum"),
+        ("Q52", "the papillary muscles"), ("Q52", "papillary muscles of the heart"),
+    ]
+    ungraded = _batch_file(tmp_path / "new.csv", rows)
+    graded = []
+    for flag, stopwords in (([], DEFAULT_STOPWORDS), (["--stopwords", none], frozenset())):
+        out = tmp_path / f"graded-{len(stopwords)}.csv"
+        argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
+        assert main(argv + flag) == 0
+        graded.append(out.read_bytes())
+        assert graded[-1] == _rows_formatted_from_classify(trees, rows, "0.7", stopwords)
+    assert graded[0] != graded[1]
+
+
+WORDS = ["the", "a", "of", "mitral", "valve", "cusp", "septum", "l4"]
+# Answers in those words and a few others, in any case, glued or apart, and
+# answers of about 64 words, where grading turns the list into a set.
+answer_texts = st.one_of(
+    st.text(max_size=30),
+    st.lists(
+        st.sampled_from([*WORDS, "The", "VALVE", "novel", " ", " ", ", ", "-", "!", "\t"]),
+        max_size=10,
+    ).map("".join),
+    st.lists(st.sampled_from([*WORDS, "novel"]), min_size=60, max_size=70).map(" ".join),
+)
+stopword_sets = st.one_of(
+    st.just(DEFAULT_STOPWORDS), st.just(frozenset()), st.frozensets(st.sampled_from([*WORDS, "x"]))
+)
+
+
+@st.composite
+def question_trees(draw, example_tree_path):
+    """The example tree, a tree trained with no stopwords that tests "the",
+    or a tree trained with any stopwords on distinct answers in ``WORDS``."""
+    kind = draw(st.sampled_from(["example", "the", "any"]))
+    if kind == "example":
+        return deserialize_tree(example_tree_path.read_text(encoding="utf-8"))
+    if kind == "the":
+        records, stopwords = corpus.parse_answer_file(THE_SPLITS, "csv"), frozenset()
+    else:
+        texts = draw(st.lists(
+            st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+            min_size=1, max_size=12, unique=True,
+        ))
+        labels = st.sampled_from(list(corpus.Label))
+        records = [corpus.AnswerRecord("q1", text, draw(labels)) for text in texts]
+        stopwords = draw(stopword_sets)
+    return dtree.build_tree(corpus.build_question_dataset(records, "q1", stopwords))
+
+
+@settings(max_examples=300)
+@given(data=st.data(), text=answer_texts, stopwords=stopword_sets)
+def test_classify_of_an_answers_words_equals_classify_of_its_word_set(
+    example_tree_path, data, text, stopwords
+):
+    tree = data.draw(question_trees(example_tree_path))
+    assert preprocess(text, stopwords) == frozenset(textprep.words(text)) - stopwords
+    # Each side grades a copy with no leaf result kept from the other.
+    got = cli._classify(dtree.DecisionTree(*tree), text, tree.vocabulary & stopwords)
+    if text.strip():
+        want = classify(dtree.DecisionTree(*tree), preprocess(text, stopwords))
+    else:
+        want = cli._BLANK
+    assert got._asdict() == want._asdict()
 
 
 def test_grade_unknown_question_after_repeated_rows_is_exit_1(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from answertree import corpus
 from answertree.corpus import (
     CSV_HEADER,
     UNGRADED_CSV_HEADER,
@@ -15,13 +16,19 @@ from answertree.corpus import (
     build_question_dataset,
     group_records,
     parse_answer_file,
-    parse_ungraded_file,
     read_rows,
     validate_dataset,
 )
 from answertree.evaluation import REPORT_CSV_HEADER, _fixture_row
 
 HEADER = "question_id,answer,label\n"
+
+
+def parse_ungraded_file(content, format):
+    """An ungraded file's (question_id, answer) pairs, one per non-blank
+    record: ``corpus.parse_ungraded_file`` with a ``build`` that keeps the
+    fields."""
+    return corpus.parse_ungraded_file(content, format, lambda row, line: tuple(row))
 
 
 def test_label_parse_accepts_all_spellings():
@@ -124,29 +131,44 @@ def test_json_string_with_a_lone_surrogate_names_its_element(parse, column, text
 
 
 def test_parse_ungraded_file():
-    # One row per record: a quote-free line is itself, blank or not; any
-    # other record is the tuple of its fields.
+    # One item per non-blank record. build gets the record's line when it is
+    # one quote-free line, and None for any other record.
     content = 'question_id,answer\nq1,valve\nq2,\n\nq1,"a, b"\r\nq3,"x\ny"\n\r\n'
-    assert parse_ungraded_file(content, "csv") == [
-        "q1,valve", "q2,", "", ("q1", "a, b"), ("q3", "x\ny"), (),
+    assert corpus.parse_ungraded_file(content, "csv", lambda row, line: (row, line)) == [
+        (["q1", "valve"], "q1,valve"),
+        (["q2", ""], "q2,"),
+        (["q1", "a, b"], None),
+        (["q3", "x\ny"], None),
     ]
-    assert parse_ungraded_file('[{"question_id":"q1","answer":"x"}]', "json") == [
-        ("q1", "x")
+    content = '[{"question_id":"q1","answer":"x"}]'
+    assert corpus.parse_ungraded_file(content, "json", lambda row, line: (row, line)) == [
+        (["q1", "x"], None)
     ]
 
 
 def test_reader_reads_a_repeated_line_once():
-    built = []
+    repeated = [
+        ("csv", HEADER + 'q1,valve,correct\nq1,"a, b",0\nq1,valve,correct\nq1,"a, b",0\n'),
+        # A record spanning lines is known by its fields: its first line
+        # alone is not a record.
+        ("csv", HEADER + 'q1,valve,correct\nq1,"a\nb",0\nq1,valve,correct\nq1,"a\nb",0\n'),
+        ("json", json.dumps([
+            {"question_id": "q1", "answer": "valve", "label": "correct"},
+            {"question_id": "q1", "answer": "a, b", "label": 0},
+        ] * 2)),
+    ]
+    for format, content in repeated:
+        built = []
 
-    def build(row):
-        built.append(row)
-        return tuple(row)
+        def build(row):
+            built.append(row)
+            return tuple(row)
 
-    content = HEADER + 'q1,valve,correct\nq1,"a, b",0\nq1,valve,correct\nq1,"a, b",0\n'
-    records = read_rows(content, "csv", CSV_HEADER, build)
-    assert records == [("q1", "valve", "correct"), ("q1", "a, b", "0")] * 2
-    assert built == [["q1", "valve", "correct"], ["q1", "a, b", "0"]]
-    assert records[0] is records[2] and records[1] is records[3]
+        records = read_rows(content, format, CSV_HEADER, build)
+        answer = "a\nb" if "a\nb" in content else "a, b"
+        assert records == [("q1", "valve", "correct"), ("q1", answer, "0")] * 2
+        assert built == [["q1", "valve", "correct"], ["q1", answer, "0"]]
+        assert records[0] is records[2] and records[1] is records[3]
 
 
 GRADED_JSON_FIRST_BAD = json.dumps(
@@ -518,17 +540,17 @@ def test_reader_reads_csv_as_one_csv_reader_does(columns, header, chunks, limit)
         if want is not None:
             assert got == [row for row in want if row]
         if columns == UNGRADED_CSV_HEADER:
-            rows, rows_error = outcome(lambda: parse_ungraded_file(content, "csv"))
+            rows, rows_error = outcome(lambda: corpus.parse_ungraded_file(
+                content, "csv", lambda row, line: (tuple(row), line)
+            ))
             assert rows_error == want_error
             if want is not None:
-                # A row is its line only when the line is quote-free.
-                for row in rows:
-                    if isinstance(row, str):
-                        assert not any(c in row for c in '"\r\n\0'), row
-                assert [
-                    tuple(row.split(",")) if isinstance(row, str) and row else tuple(row)
-                    for row in rows
-                ] == want
+                assert [row for row, _ in rows] == [row for row in want if row]
+                # build gets a record's line only when the line is quote-free.
+                for row, line in rows:
+                    if line is not None:
+                        assert line == ",".join(row), line
+                        assert not any(c in line for c in '"\r\n\0'), line
     finally:
         if limit is not None:
             csv.field_size_limit(old_limit)
