@@ -15,7 +15,6 @@ import os
 import stat
 import sys
 import time
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, TextIO, TypeVar
@@ -233,38 +232,35 @@ def _classify(
 ) -> dtree.Classification:
     """``classify(tree, preprocess(answer, stopwords))`` for ``dropped =
     tree.vocabulary & stopwords``: the walk looks up only the tree's words,
-    so only those stopwords need to leave the answer's list of words."""
+    so only those stopwords need to leave the answer's word set."""
     if not answer.strip():
         return _BLANK
-    words = textprep.words(answer)
+    features = frozenset(textprep.words(answer))
     if dropped:  # the tree was trained with other stopwords
-        words = [word for word in words if word not in dropped]
-    if len(words) > 64:  # the walk scans a list once per test it passes
-        return dtree.classify(tree, frozenset(words))
-    return dtree.classify(tree, words)
+        features -= dropped
+    return dtree.classify(tree, features)
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
     loaded = _load_trees(args.trees)
     trees = {q: (tree, tree.vocabulary & stopwords) for q, tree in loaded.items()}
-    path = Path(args.answers)
     # writerow returns what write returns, and str hands back the very line.
     to_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    # Results are shared per tree leaf and kept alive by their tree (_BLANK
-    # by this module), so each distinct result's tail is written once, keyed
-    # by identity.
+    # Results are shared per tree leaf and kept alive by their tree (_BLANK by
+    # this module), so each distinct result's tail is written once, by id.
     tails: dict[int, str] = {}
+    unknown: list[str] = []  # the question with no tree, once grade meets one
 
     def grade(row: list[str], line: str | None) -> str:
         """A record's output line: its pair written as CSV (a quote-free line
-        already is), then ``,label,certainty,flagged,critical_word`` and LF.
-        CSV quotes each field on its own, so the joined line has the bytes of
-        the six-field row."""
+        already is), then ``,label,certainty,flagged,critical_word`` and LF,
+        the bytes of the six-field row, as CSV quotes each field on its own."""
         question_id, answer = row
         try:
             tree, dropped = trees[question_id]
         except KeyError:
+            unknown.append(question_id)
             raise ValueError(f"no trained tree for question {question_id!r}") from None
         result = _classify(tree, answer, dropped)
         tail = tails.get(id(result))
@@ -280,11 +276,15 @@ def cmd_grade(args: argparse.Namespace) -> int:
             ))
         return (to_line(row)[:-1] if line is None else line) + tail
 
-    try:
-        lines = _load_answers(path, partial(corpus.parse_ungraded_file, build=grade))
-    except corpus.CorpusError:  # a bad row anywhere in the batch is reported first
-        _load_answers(path, partial(corpus.parse_ungraded_file, build=lambda row, line: None))
-        raise
+    def parse(text: str, format: str) -> list[str]:
+        try:
+            return corpus.parse_ungraded_file(text, format, grade)
+        except corpus.CorpusError:
+            if unknown:  # a bad row anywhere in the batch is reported first
+                corpus.parse_ungraded_file(text, format, lambda row, line: None)
+            raise
+
+    lines = _load_answers(Path(args.answers), parse)
     header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
     _atomic_write({Path(args.out): to_line(header) + "".join(lines)})
     return 0
