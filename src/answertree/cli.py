@@ -105,16 +105,12 @@ def _load(path: Path, parse: Callable[[str], _R]) -> _R:
         raise corpus.CorpusError(f"{path}: {exc}") from None
 
 
-def _answer_format(path: Path) -> str:
-    """An answer file's format: JSON if its name ends in ``.json``, in any
-    case, else CSV."""
-    return "json" if path.suffix.lower() == ".json" else "csv"
-
-
 def _load_answers(path: Path, parse: Callable[[str, str], _R]) -> _R:
     """``parse`` (``corpus.parse_answer_file`` or ``parse_ungraded_file``) on
-    an answer file in its ``_answer_format``."""
-    return _load(path, lambda text: parse(text, _answer_format(path)))
+    an answer file in its format."""
+    # JSON if the file's name ends in ".json", in any case, else CSV.
+    format = "json" if path.suffix.lower() == ".json" else "csv"
+    return _load(path, lambda text: parse(text, format))
 
 
 def _load_prep(stopwords_path: str | None) -> frozenset[str]:
@@ -250,7 +246,6 @@ def cmd_grade(args: argparse.Namespace) -> int:
     # Results are shared per tree leaf and kept alive by their tree (_BLANK by
     # this module), so each distinct result's tail is written once, by id.
     tails: dict[int, str] = {}
-    unknown: list[str] = []  # the question with no tree, once grade meets one
 
     def grade(row: list[str], line: str | None) -> str:
         """A record's output line: its pair written as CSV (a quote-free line
@@ -260,7 +255,6 @@ def cmd_grade(args: argparse.Namespace) -> int:
         try:
             tree, dropped = trees[question_id]
         except KeyError:
-            unknown.append(question_id)
             raise ValueError(f"no trained tree for question {question_id!r}") from None
         result = _classify(tree, answer, dropped)
         tail = tails.get(id(result))
@@ -276,15 +270,10 @@ def cmd_grade(args: argparse.Namespace) -> int:
             ))
         return (to_line(row)[:-1] if line is None else line) + tail
 
-    def parse(text: str, format: str) -> list[str]:
-        try:
-            return corpus.parse_ungraded_file(text, format, grade)
-        except corpus.CorpusError:
-            if unknown:  # a bad row anywhere in the batch is reported first
-                corpus.parse_ungraded_file(text, format, lambda row, line: None)
-            raise
-
-    lines = _load_answers(Path(args.answers), parse)
+    lines = _load_answers(
+        Path(args.answers),
+        lambda text, format: corpus.parse_ungraded_file(text, format, grade),
+    )
     header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
     _atomic_write({Path(args.out): to_line(header) + "".join(lines)})
     return 0

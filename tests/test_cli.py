@@ -203,8 +203,9 @@ def test_a_lone_surrogate_in_an_answer_file_is_a_one_line_error(
     tmp_path, capsys, example_tree_path, command, column
 ):
     # json.dumps escapes the surrogate as \ud800. Question "a" is good and
-    # comes first, so no output of it may be written either. A batch
-    # ignores the label key.
+    # comes first, so no output of it may be written either; grade has a
+    # tree for it, so element 20 is the first fault. A batch ignores the
+    # label key.
     elements = [
         {"question_id": "a", "answer": f"alpha {i}", "label": i % 2} for i in range(20)
     ]
@@ -215,7 +216,8 @@ def test_a_lone_surrogate_in_an_answer_file_is_a_one_line_error(
     if command == "grade":
         trees = tmp_path / "trees"
         trees.mkdir()
-        shutil.copy(example_tree_path, trees / "a.tree.json")
+        document = json.loads(example_tree_path.read_text(encoding="utf-8"))
+        write(trees / "a.tree.json", json.dumps({**document, "question_id": "a"}))
         argv += ["--trees", str(trees)]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -676,27 +678,46 @@ def test_grade_unknown_question_names_its_first_row(
     assert not out.exists()
 
 
-def test_grade_bad_row_after_an_unknown_question_is_the_error(
-    tmp_path, capsys, reproducible_clock, example_tree_path
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+@pytest.mark.parametrize("first", ["unknown-question", "malformed-row"])
+def test_grade_reports_the_first_faulty_row_in_file_order(
+    tmp_path, capsys, reproducible_clock, example_tree_path, suffix, first
 ):
+    # Whatever the fault, the first faulty record is named, as every reader does.
     trees = _trees_with_example(tmp_path, example_tree_path)
-    ungraded = write(tmp_path / "new.csv", "question_id,answer\nq9,x\nq1,alpha\nq1\n")
+    rows = [("q9", "x"), ("q1", "alpha"), ("q1",)]
+    if first == "malformed-row":
+        rows.reverse()
+    if suffix == "json":
+        elements = [dict(zip(UNGRADED_CSV_HEADER, row)) for row in rows]
+        ungraded = write(tmp_path / "new.json", json.dumps(elements))
+        place, malformed = "element 0", "missing key(s) answer"
+    else:
+        ungraded = write(
+            tmp_path / "new.csv",
+            "question_id,answer\n" + "".join(",".join(row) + "\n" for row in rows),
+        )
+        place, malformed = "row 1", "expected 2 columns, got 1"
+    message = {
+        "unknown-question": "no trained tree for question 'q9'",
+        "malformed-row": malformed,
+    }[first]
     out = tmp_path / "graded.csv"
     argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"{ungraded}: row 3: expected 2 columns, got 1\n"
+    assert capsys.readouterr().err == f"{ungraded}: {place}: {message}\n"
     assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "body, passes, error",
+    "body, error",
     [
-        ("q1,alpha\nq9,x\n", 2, "row 2: no trained tree for question 'q9'"),
-        ("q1,alpha\nq1\nq9,x\n", 1, "row 2: expected 2 columns, got 1"),
+        ("q1,alpha\nq9,x\nq1\n", "row 2: no trained tree for question 'q9'"),
+        ("q1,alpha\nq1\nq9,x\n", "row 2: expected 2 columns, got 1"),
     ],
 )
-def test_grade_reads_its_batch_once_and_checks_it_again_only_after_an_unknown_question(
-    tmp_path, capsys, monkeypatch, reproducible_clock, example_tree_path, body, passes, error
+def test_grade_parses_its_batch_once_on_every_error(
+    tmp_path, capsys, monkeypatch, reproducible_clock, example_tree_path, body, error
 ):
     trees = _trees_with_example(tmp_path, example_tree_path)
     ungraded = write(tmp_path / "new.csv", "question_id,answer\n" + body)
@@ -718,7 +739,7 @@ def test_grade_reads_its_batch_once_and_checks_it_again_only_after_an_unknown_qu
     assert main(argv) == 1
     assert capsys.readouterr().err == f"{ungraded}: {error}\n"
     assert reads.count(Path(ungraded)) == 1
-    assert len(parses) == passes
+    assert len(parses) == 1
     assert not out.exists()
 
 
