@@ -23,7 +23,7 @@ from . import corpus, dtree, evaluation, textprep
 
 DEFAULT_CERTAINTY_THRESHOLD = 0.70
 
-_J, _R = TypeVar("_J"), TypeVar("_R")
+_R = TypeVar("_R")
 
 
 def _stream_to(info: os.stat_result) -> TextIO | None:
@@ -142,23 +142,19 @@ def _trained_at() -> str:
 
 
 def _per_question(
-    command: str, answers: str, stopwords: frozenset[str], work: Callable[..., _R]
+    answers: str, stopwords: frozenset[str], work: Callable[..., _R]
 ) -> list[_R]:
-    """``work`` on each question's dataset, in question order. A question is
-    one job that ingests its records and runs ``work``. Once all are done,
-    the first error that is not a CorpusError, in question order, is raised;
-    failing that, one CorpusError reports every question that failed."""
+    """``work`` on each question's dataset, in question order. An error that
+    is not a CorpusError is raised at once; once every question has run, one
+    CorpusError reports every question that failed."""
     records = _load_answers(Path(answers), corpus.parse_answer_file)
-    groups = list(corpus.group_records(records).values())
-
-    def job(group: list[corpus.AnswerRecord]) -> _R:
-        return work(corpus.build_question_dataset(group, group[0].question_id, stopwords))
-
-    results = _fan_out(command, job, groups)
-    failures = [result for result in results if isinstance(result, Exception)]
-    for failure in failures:
-        if not isinstance(failure, corpus.CorpusError):
-            raise failure
+    results: list[_R] = []
+    failures: list[corpus.CorpusError] = []
+    for question_id, group in corpus.group_records(records).items():
+        try:
+            results.append(work(corpus.build_question_dataset(group, question_id, stopwords)))
+        except corpus.CorpusError as exc:
+            failures.append(exc)
     if failures:
         raise corpus.CorpusError("\n".join(map(str, failures)))
     return results
@@ -191,8 +187,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"vocabulary {len(dataset.index.words)}"
         )
 
-    # Every job is done first, so a question that fails leaves no output.
-    outputs = _per_question("train", args.answers, stopwords, train)
+    # Every question runs first, so a question that fails leaves no output.
+    outputs = _per_question(args.answers, stopwords, train)
     out_dir = Path(args.out)
     _atomic_write({out_dir / name: text for name, text, _ in outputs})
     for _, _, line in outputs:
@@ -279,94 +275,6 @@ def cmd_grade(args: argparse.Namespace) -> int:
     return 0
 
 
-def _worker_count(jobs: int) -> int:
-    """The CPUs this process may use, at most one per job and at least one.
-
-    One where there is no affinity mask or no fork, and in a process with
-    other threads: a forked child holds only the thread that forked it, so
-    a lock another thread held stays locked in the child.
-    """
-    threading = sys.modules.get("threading")
-    if (
-        not hasattr(os, "sched_getaffinity")
-        or not hasattr(os, "fork")
-        or (threading is not None and threading.active_count() > 1)
-    ):
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), jobs))
-
-
-def _run_share(
-    work: Callable[[_J], _R], share: list[_J], parent: int | None = None
-) -> list[_R | Exception]:
-    """``work`` on each job; a job that raises has its exception as its result."""
-    results: list[_R | Exception] = []
-    for job in share:
-        if parent is not None and os.getppid() != parent:
-            os._exit(1)  # the parent is gone, so no one will read the results
-        try:
-            results.append(work(job))
-        except Exception as exc:
-            results.append(exc)
-    return results
-
-
-def _fan_out(
-    command: str, work: Callable[[_J], _R], jobs: list[_J]
-) -> list[_R | Exception]:
-    """``work`` on every job, on one worker per CPU: job ``j`` goes to worker
-    ``j % workers``. A job's result is what ``work`` returns or the exception
-    it raises. The parent runs worker 0's share itself; each other share runs
-    in a forked child, which pickles its list of results into a pipe. Results
-    come back in job order, so they do not depend on the worker count. With
-    one worker nothing is forked; a worker that dies raises ChildProcessError."""
-    workers = _worker_count(len(jobs))
-    results: list = [None] * len(jobs)
-    parent = os.getpid()
-    children = []  # (pid, read end of its pipe) per unreaped child, in worker order
-    if workers > 1:  # here: one worker needs neither
-        import pickle
-        import signal
-    try:
-        for worker in range(1, workers):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: it must never return into the caller
-                status = 1
-                try:
-                    os.close(read_end)
-                    for _, pipe in children:
-                        pipe.close()
-                    share = _run_share(work, jobs[worker::workers], parent)
-                    with open(write_end, "wb") as pipe:
-                        pickle.dump(share, pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb")))
-        results[::workers] = _run_share(work, jobs[::workers])
-        for worker in range(1, workers):
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
-                ended = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-                raise ChildProcessError(
-                    f"{command} worker {worker} ended with {ended} "
-                    "before sending its results"
-                )
-            results[worker::workers] = pickle.loads(data)
-    finally:
-        for pid, pipe in children:  # left running by an error
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return results
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     stopwords = _load_prep(args.stopwords)
 
@@ -385,7 +293,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     rows = []
-    for result in _per_question("evaluate", args.answers, stopwords, evaluate):
+    for result in _per_question(args.answers, stopwords, evaluate):
         if isinstance(result, str):
             print(result, file=sys.stderr)
         else:

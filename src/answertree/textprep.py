@@ -2,8 +2,8 @@
 
 Answers are short technical noun phrases, so preprocessing is deliberately
 minimal: lowercase, split on non-alphanumeric runs, drop a small stopword
-list. No stemming and no spell correction; misspellings are part of the
-signal being modelled.
+list. No stemming and no spell correction; misspellings are part of what
+the trees learn from.
 """
 
 from __future__ import annotations

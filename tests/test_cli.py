@@ -10,7 +10,6 @@ import stat
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -1164,156 +1163,58 @@ def _questions_of_unequal_cost(sizes=(20, 90, 30, 60, 12, 45)):
     return "\n".join(rows) + "\n"
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
-
-
-def test_evaluate_report_bytes_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch):
+def test_evaluate_reports_every_question_in_question_order(tmp_path):
     answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
-    reports = set()
-    for cpus in (1, 2, 3, 50):  # 50 is more CPUs than questions
-        _cpus(monkeypatch, cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 0
-        reports.add(((out / "report.csv").read_bytes(), (out / "report.json").read_bytes()))
-    assert len(reports) == 1
-    report_csv, _ = reports.pop()
-    assert len(report_csv.splitlines()) == 7  # the header and six questions
+    out = tmp_path / "out"
+    assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 0
+    rows = list(csv.reader(io.StringIO((out / "report.csv").read_text(encoding="utf-8"))))
+    assert [row[0] for row in rows] == ["question_id"] + [f"q{n}" for n in range(1, 7)]
 
 
-@pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_no_worker_is_forked_beside_another_thread(
-    tmp_path, monkeypatch, reproducible_clock, command
-):
+def test_train_and_evaluate_never_fork(tmp_path, monkeypatch):
     answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
-    _cpus(monkeypatch, 1)
-    assert main([command, "--answers", answers, "--out", str(tmp_path / "one")]) == 0
-    _cpus(monkeypatch, 2)
 
     def fork():
-        raise AssertionError("forked beside another thread")
+        raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", fork)
-    stop = threading.Event()
-    waiter = threading.Thread(target=stop.wait)
-    waiter.start()
-    try:
-        assert main([command, "--answers", answers, "--out", str(tmp_path / "two")]) == 0
-    finally:
-        stop.set()
-        waiter.join()
-    one = sorted((tmp_path / "one").iterdir())
-    assert len(one) == (6 if command == "train" else 2)
-    for path in one:
-        assert path.read_bytes() == (tmp_path / "two" / path.name).read_bytes()
+    for command, files in (("train", 6), ("evaluate", 2)):
+        out = tmp_path / command
+        assert main([command, "--answers", answers, "--out", str(out)]) == 0
+        assert len(list(out.iterdir())) == files
 
 
-def _fail_in(monkeypatch, question_id, fail, in_child=True):
-    """Make cross_validate call ``fail()`` on one question, in a forked worker
-    or in the test's own process."""
-    test_pid = os.getpid()
+def test_evaluate_question_that_fails_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
     cross_validate = evaluation.cross_validate
 
     def failing(dataset, min_gain, k, seed):
-        if dataset.question_id == question_id and (os.getpid() != test_pid) == in_child:
-            fail()
+        if dataset.question_id == "q4":
+            raise corpus.CorpusError("need at least 2 folds, got k=1")
         return cross_validate(dataset, min_gain, k, seed)
 
     monkeypatch.setattr(evaluation, "cross_validate", failing)
-
-
-def _assert_evaluate_fails_alone(tmp_path, capsys, message):
     answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
     out = tmp_path / "out"
     assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [message]
+    assert capsys.readouterr().err.splitlines() == ["need at least 2 folds, got k=1"]
     assert not out.exists()
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
 
 
-def test_evaluate_error_in_a_worker_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
-    _cpus(monkeypatch, 2)
-
-    def fail():
-        raise corpus.CorpusError("cannot make 10 folds from 9 samples")
-
-    # Job j goes to worker j % 2: worker 0, the parent, takes q1, q3 and q5,
-    # and worker 1 q2, q4 and q6.
-    _fail_in(monkeypatch, "q4", fail)
-    _assert_evaluate_fails_alone(tmp_path, capsys, "cannot make 10 folds from 9 samples")
-
-
-def test_evaluate_reaps_workers_when_its_own_share_fails(tmp_path, capsys, monkeypatch):
-    _cpus(monkeypatch, 3)
-
-    def fail():
-        raise corpus.CorpusError("need at least 2 folds, got k=1")
-
-    _fail_in(monkeypatch, "q4", fail, in_child=False)  # the parent's last job
-    _assert_evaluate_fails_alone(tmp_path, capsys, "need at least 2 folds, got k=1")
-
-
-def test_evaluate_parent_runs_every_workers_th_question(tmp_path, monkeypatch):
-    # With W workers, the parent runs jobs 0, W, 2W, ... in question order.
-    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
-    test_pid = os.getpid()
-    cross_validate = evaluation.cross_validate
-    in_parent = []
-
-    def recording(dataset, min_gain, k, seed):
-        if os.getpid() == test_pid:
-            in_parent.append(dataset.question_id)
-        return cross_validate(dataset, min_gain, k, seed)
-
-    monkeypatch.setattr(evaluation, "cross_validate", recording)
-    for cpus in range(1, 8):
-        _cpus(monkeypatch, cpus)
-        in_parent.clear()
-        assert main(["evaluate", "--answers", answers, "--out", str(tmp_path / "out")]) == 0
-        assert in_parent == [f"q{n}" for n in range(1, 7)][::cpus]
-
-
-def test_evaluate_worker_that_dies_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
-    _cpus(monkeypatch, 3)
-    # Job j goes to worker j % 3: worker 2 takes q3 and q6.
-    _fail_in(monkeypatch, "q3", lambda: os._exit(3))
-    _assert_evaluate_fails_alone(
-        tmp_path, capsys, "evaluate worker 2 ended with exit status 3 before sending its results"
-    )
-
-
-def test_evaluate_worker_stops_once_its_parent_is_gone(tmp_path, capsys, monkeypatch):
-    _cpus(monkeypatch, 2)
-    monkeypatch.setattr(os, "getppid", lambda: -1)  # no live process has this pid
-    _assert_evaluate_fails_alone(
-        tmp_path, capsys, "evaluate worker 1 ended with exit status 1 before sending its results"
-    )
-
-
-def test_train_output_does_not_depend_on_the_cpu_count(
-    tmp_path, capsys, monkeypatch, reproducible_clock
+def test_train_writes_every_tree_and_prints_a_line_per_question_in_order(
+    tmp_path, capsys, reproducible_clock
 ):
     answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
-    outputs = set()
-    for cpus in (1, 2, 3, 50):  # 50 is more CPUs than questions
-        _cpus(monkeypatch, cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["train", "--answers", answers, "--out", str(out)]) == 0
-        trees = tuple((p.name, p.read_bytes()) for p in sorted(out.iterdir()))
-        captured = capsys.readouterr()
-        outputs.add((trees, captured.out, captured.err))
-    assert len(outputs) == 1
-    trees, stdout, stderr = outputs.pop()
-    assert [name for name, _ in trees] == [f"q{n}.tree.json" for n in range(1, 7)]
-    assert [line.split(":")[0] for line in stdout.splitlines()] == [
+    out = tmp_path / "out"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == [f"q{n}.tree.json" for n in range(1, 7)]
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [
         f"q{n}" for n in range(1, 7)
     ]
-    assert stderr == ""
+    assert captured.err == ""
 
 
-def test_train_and_evaluate_with_no_question(tmp_path, capsys, monkeypatch):
-    _cpus(monkeypatch, 2)
+def test_train_and_evaluate_with_no_question(tmp_path, capsys):
     answers = write(tmp_path / "answers.csv", "question_id,answer,label\n")
     out = tmp_path / "out"
     assert main(["train", "--answers", answers, "--out", str(out)]) == 0
@@ -1343,31 +1244,21 @@ def test_train_writes_a_chain_only_if_it_reads_back(tmp_path, capsys):
     assert len(tree.words) == 2 * deepest + 1
 
 
-# Two workers: q0, the first question, is dealt to the parent, and q1 to
-# worker 1.
-_TWO_LOADS = "question_id,answer,label\n" + "q0,alpha,correct\nq0,beta,incorrect\n" * 200
+# q0 trains, and is reported by nothing.
+_GOOD_FIRST = "question_id,answer,label\nq0,alpha,correct\nq0,beta,incorrect\n"
 
 
-def _assert_train_fails_alike(tmp_path, capsys, monkeypatch, answers_text, cpus, lines):
-    """Train on one CPU and on ``cpus``: each run is exit 1 with the stderr
-    ``lines``, writes no tree and leaves no worker behind."""
+def _assert_train_fails(tmp_path, capsys, answers_text, lines):
+    """Train is exit 1 with the stderr ``lines`` and writes no tree."""
     answers = write(tmp_path / "answers.csv", answers_text)
-    for count in (1, cpus):
-        _cpus(monkeypatch, count)
-        out = tmp_path / f"cpus{count}"
-        assert main(["train", "--answers", answers, "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err.splitlines()) == ("", lines)
-        assert not out.exists()
-        with pytest.raises(ChildProcessError):  # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
+    out = tmp_path / "out"
+    assert main(["train", "--answers", answers, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", lines)
+    assert not out.exists()
 
 
-def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
-    tmp_path, capsys, monkeypatch
-):
-    # Dealt by position to three workers: q7 to the parent, q2 to worker 1,
-    # and q3 and q6 to worker 2.
+def test_train_reports_failed_validation_in_question_order(tmp_path, capsys):
     conflict = "{q},dupe,correct\n{q},dupe,incorrect\n"
     text = (
         _questions_of_unequal_cost()
@@ -1385,48 +1276,39 @@ def test_train_reports_failed_validation_in_question_order_on_any_cpu_count(
         lines += str(raised.value).splitlines()
     lines.append("question 'q7': no non-blank answers to train on")
     assert "  no features left after preprocessing: 'the'" in lines
-    _assert_train_fails_alike(tmp_path, capsys, monkeypatch, text, 3, lines)
+    _assert_train_fails(tmp_path, capsys, text, lines)
 
 
-def test_train_reports_a_tree_too_deep_in_a_worker_as_on_one_cpu(
-    tmp_path, capsys, monkeypatch
-):
+def test_train_reports_a_tree_too_deep_after_a_question_that_trains(tmp_path, capsys):
     # q1's chain is one level past MAX_LEVELS.
     chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
-    _assert_train_fails_alike(
-        tmp_path, capsys, monkeypatch, _TWO_LOADS + chain, 2,
-        ["question 'q1': tree nested too deep"],
+    _assert_train_fails(
+        tmp_path, capsys, _GOOD_FIRST + chain, ["question 'q1': tree nested too deep"]
     )
 
 
-def test_train_reports_a_tree_too_deep_before_a_later_unsafe_id_on_any_cpu_count(
-    tmp_path, capsys, monkeypatch
-):
-    # On two CPUs, q1's chain, one level past MAX_LEVELS, goes to worker 1,
-    # and the later question with the unsafe id to the parent. Both are
-    # reported, in question order.
+def test_train_reports_a_tree_too_deep_before_a_later_unsafe_id(tmp_path, capsys):
+    # q1's chain is one level past MAX_LEVELS, and a later question's id is
+    # unsafe. Both are reported, in question order.
     chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
-    _assert_train_fails_alike(
-        tmp_path, capsys, monkeypatch, _TWO_LOADS + chain + "a/b,alpha,correct\n", 2,
+    _assert_train_fails(
+        tmp_path, capsys, _GOOD_FIRST + chain + "a/b,alpha,correct\n",
         ["question 'q1': tree nested too deep", "question id 'a/b' is not a safe file name"],
     )
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_train_reports_every_failed_question_in_question_order_on_any_cpu_count(
-    tmp_path, capsys, monkeypatch, cpus
-):
+def test_train_reports_every_failed_question_in_question_order(tmp_path, capsys):
     # The first question's id is unsafe, the second's answers conflict and
     # the third's chain is one level past MAX_LEVELS: an ingest failure
-    # between two train failures, each dealt to its own worker on three CPUs.
+    # between two train failures.
     chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
     text = (
         "question_id,answer,label\na/b,alpha,correct\n"
         + "q2,dupe,correct\nq2,dupe,incorrect\n"
         + chain.replace("q1,", "q3,")
     )
-    _assert_train_fails_alike(
-        tmp_path, capsys, monkeypatch, text, cpus,
+    _assert_train_fails(
+        tmp_path, capsys, text,
         [
             "question id 'a/b' is not a safe file name",
             "question 'q2': 1 unique samples",
@@ -1437,15 +1319,16 @@ def test_train_reports_every_failed_question_in_question_order_on_any_cpu_count(
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
-def test_an_unexpected_error_is_the_first_in_question_order_on_any_cpu_count(
+def test_an_unexpected_error_is_the_first_in_question_order(
     tmp_path, monkeypatch, reproducible_clock, command
 ):
-    # Growing q2's and q3's trees raises an error that is not bad input. On
-    # two CPUs the parent runs q1 and q3 and worker 1 runs q2, so q3's error
-    # happens first; q2's is the one raised, as on one CPU.
+    # Growing q2's and q3's trees raises an error that is not bad input.
+    # q2's is raised at once: q3 is never reached, and nothing is written.
     build_tree = dtree.build_tree
+    grown = set()
 
     def failing(dataset, *args, **kwargs):
+        grown.add(dataset.question_id)
         if dataset.question_id in ("q2", "q3"):
             raise ValueError(f"{dataset.question_id} failed")
         return build_tree(dataset, *args, **kwargs)
@@ -1453,14 +1336,11 @@ def test_an_unexpected_error_is_the_first_in_question_order_on_any_cpu_count(
     monkeypatch.setattr(dtree, "build_tree", failing)
     monkeypatch.setattr(evaluation, "build_tree", failing)
     answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost((30, 30, 30)))
-    for cpus in (1, 2, 3):
-        _cpus(monkeypatch, cpus)
-        out = tmp_path / f"cpus{cpus}"
-        with pytest.raises(ValueError, match="^q2 failed$"):
-            main([command, "--answers", answers, "--out", str(out)])
-        assert not out.exists()
-        with pytest.raises(ChildProcessError):  # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^q2 failed$"):
+        main([command, "--answers", answers, "--out", str(out)])
+    assert grown == {"q1", "q2"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -1471,7 +1351,6 @@ def test_an_unexpected_error_is_the_first_in_question_order_on_any_cpu_count(
 def test_train_grows_no_tree_for_a_question_it_cannot_write(
     tmp_path, capsys, monkeypatch, question_id, problem
 ):
-    _cpus(monkeypatch, 1)
     grown = []
     build_tree = dtree.build_tree
 
@@ -1491,47 +1370,13 @@ def test_train_grows_no_tree_for_a_question_it_cannot_write(
     assert not out.exists()
 
 
-def _reject(message):
-    raise corpus.CorpusError(message)
-
-
-@pytest.mark.parametrize(
-    "fail, message",
-    [
-        (lambda: os._exit(3), "train worker 1 ended with exit status 3 before sending its results"),
-        (lambda: _reject("q1: rejected in a worker"), "q1: rejected in a worker"),
-    ],
-    ids=["dies", "raises"],
-)
-def test_train_worker_that_fails_is_one_line_exit_1(
-    tmp_path, capsys, monkeypatch, fail, message
-):
-    _cpus(monkeypatch, 2)
-    test_pid = os.getpid()
-    build_tree = dtree.build_tree
-
-    def failing(dataset, *args, **kwargs):
-        if dataset.question_id == "q1" and os.getpid() != test_pid:
-            fail()
-        return build_tree(dataset, *args, **kwargs)
-
-    monkeypatch.setattr(dtree, "build_tree", failing)
-    answers = write(tmp_path / "answers.csv", _TWO_LOADS + "q1,gamma,correct\n")
-    out = tmp_path / "out"
-    assert main(["train", "--answers", answers, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [message]
-    assert not out.exists()
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize(
     "module", ["pickle", "dataclasses", "inspect", "datetime", "tempfile", "shutil"]
 )
 def test_cli_import_leaves_pickle_out(module):
-    # Every command pays for what importing the CLI imports. Only a fan-out
-    # to several workers needs pickle, only train needs datetime, and only
-    # commands that write a file need tempfile and the shutil it imports;
+    # Every command pays for what importing the CLI imports. No command
+    # needs pickle, only train needs datetime, and only commands that write
+    # a file need tempfile and the shutil it imports;
     # the records are NamedTuples, so nothing needs dataclasses or the
     # inspect it imports.
     # -S keeps site out, since a .pth file it runs may import any of these.

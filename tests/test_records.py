@@ -91,7 +91,6 @@ def test_the_package_defines_two_exception_classes():
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
 def test_record_round_trips_through_pickle(record):
-    # evaluate's workers send QuestionRow records back pickled.
     copy = pickle.loads(pickle.dumps(record))
     assert type(copy) is type(record)
     assert copy == record
