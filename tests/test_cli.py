@@ -1171,24 +1171,31 @@ def test_evaluate_reports_every_question_in_question_order(tmp_path):
     assert [row[0] for row in rows] == ["question_id"] + [f"q{n}" for n in range(1, 7)]
 
 
-def test_train_and_evaluate_never_fork(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, files", [("train", 6), ("evaluate", 2)])
+def test_train_and_evaluate_never_fork(tmp_path, monkeypatch, command, files):
     answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
 
     def fork():
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", fork)
-    for command, files in (("train", 6), ("evaluate", 2)):
-        out = tmp_path / command
-        assert main([command, "--answers", answers, "--out", str(out)]) == 0
-        assert len(list(out.iterdir())) == files
+    out = tmp_path / command
+    assert main([command, "--answers", answers, "--out", str(out)]) == 0
+    assert len(list(out.iterdir())) == files
 
 
-def test_evaluate_question_that_fails_is_one_line_exit_1(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("failing_id", ["q1", "q4", "q6"])
+def test_evaluate_question_that_fails_is_one_line_exit_1(
+    tmp_path, capsys, monkeypatch, failing_id
+):
+    # The first, a middle and the last question: each question after the
+    # failed one still runs, and nothing is written.
     cross_validate = evaluation.cross_validate
+    validated = []
 
     def failing(dataset, min_gain, k, seed):
-        if dataset.question_id == "q4":
+        validated.append(dataset.question_id)
+        if dataset.question_id == failing_id:
             raise corpus.CorpusError("need at least 2 folds, got k=1")
         return cross_validate(dataset, min_gain, k, seed)
 
@@ -1197,6 +1204,30 @@ def test_evaluate_question_that_fails_is_one_line_exit_1(tmp_path, capsys, monke
     out = tmp_path / "out"
     assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == ["need at least 2 folds, got k=1"]
+    assert validated == [f"q{n}" for n in range(1, 7)]
+    assert not out.exists()
+
+
+def test_evaluate_reports_every_failed_question_in_question_order(
+    tmp_path, capsys, monkeypatch
+):
+    # q5 fails with two lines and q2 with one: q2's come first.
+    cross_validate = evaluation.cross_validate
+    messages = {"q5": "question 'q5': first\n  second", "q2": "question 'q2': only"}
+
+    def failing(dataset, min_gain, k, seed):
+        if dataset.question_id in messages:
+            raise corpus.CorpusError(messages[dataset.question_id])
+        return cross_validate(dataset, min_gain, k, seed)
+
+    monkeypatch.setattr(evaluation, "cross_validate", failing)
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost())
+    out = tmp_path / "out"
+    assert main(["evaluate", "--answers", answers, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == (
+        "", ["question 'q2': only", "question 'q5': first", "  second"]
+    )
     assert not out.exists()
 
 
@@ -1248,9 +1279,9 @@ def test_train_writes_a_chain_only_if_it_reads_back(tmp_path, capsys):
 _GOOD_FIRST = "question_id,answer,label\nq0,alpha,correct\nq0,beta,incorrect\n"
 
 
-def _assert_train_fails(tmp_path, capsys, answers_text, lines):
+def _assert_train_fails(tmp_path, capsys, answers_text, lines, suffix="csv"):
     """Train is exit 1 with the stderr ``lines`` and writes no tree."""
-    answers = write(tmp_path / "answers.csv", answers_text)
+    answers = write(tmp_path / f"answers.{suffix}", answers_text)
     out = tmp_path / "out"
     assert main(["train", "--answers", answers, "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -1297,16 +1328,20 @@ def test_train_reports_a_tree_too_deep_before_a_later_unsafe_id(tmp_path, capsys
     )
 
 
-def test_train_reports_every_failed_question_in_question_order(tmp_path, capsys):
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_train_reports_every_failed_question_in_question_order(tmp_path, capsys, suffix):
     # The first question's id is unsafe, the second's answers conflict and
     # the third's chain is one level past MAX_LEVELS: an ingest failure
-    # between two train failures.
+    # between two train failures. Question order is the file's, in either
+    # format.
     chain = _chain_answers(2 * dtree.MAX_LEVELS)[len("question_id,answer,label\n"):]
     text = (
         "question_id,answer,label\na/b,alpha,correct\n"
         + "q2,dupe,correct\nq2,dupe,incorrect\n"
         + chain.replace("q1,", "q3,")
     )
+    if suffix == "json":
+        text = json.dumps(list(csv.DictReader(io.StringIO(text))))
     _assert_train_fails(
         tmp_path, capsys, text,
         [
@@ -1315,6 +1350,7 @@ def test_train_reports_every_failed_question_in_question_order(tmp_path, capsys)
             "  conflict: 'dupe' was graded both correct and incorrect",
             "question 'q3': tree nested too deep",
         ],
+        suffix,
     )
 
 
@@ -1341,6 +1377,56 @@ def test_an_unexpected_error_is_the_first_in_question_order(
         main([command, "--answers", answers, "--out", str(out)])
     assert grown == {"q1", "q2"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_an_unexpected_error_after_a_failed_question_is_raised_alone(
+    tmp_path, capsys, monkeypatch, reproducible_clock, command
+):
+    # q1 is bad input and q2 raises an error that is not: q2's error is
+    # raised at once, q1's is never printed, and nothing is written.
+    build_tree = dtree.build_tree
+    grown = []
+
+    def failing(dataset, *args, **kwargs):
+        grown.append(dataset.question_id)
+        if dataset.question_id == "q1":
+            raise corpus.CorpusError("question 'q1': bad input")
+        if dataset.question_id == "q2":
+            raise ValueError("q2 failed")
+        return build_tree(dataset, *args, **kwargs)
+
+    monkeypatch.setattr(dtree, "build_tree", failing)
+    monkeypatch.setattr(evaluation, "build_tree", failing)
+    answers = write(tmp_path / "answers.csv", _questions_of_unequal_cost((30, 30, 30)))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^q2 failed$"):
+        main([command, "--answers", answers, "--out", str(out)])
+    assert set(grown) == {"q1", "q2"}
+    assert capsys.readouterr() == ("", "")
+    assert not out.exists()
+
+
+def test_per_question_runs_every_question_once_in_file_order(tmp_path):
+    # Question order is first appearance in the file, not sorted order, and
+    # a failed question does not stop the ones after it.
+    rows = "".join(f"{q},{q} word,correct\n" for q in ("q10", "q2", "q10", "q1", "q2"))
+    answers = write(tmp_path / "answers.csv", "question_id,answer,label\n" + rows)
+    seen = []
+
+    def work(dataset):
+        seen.append((dataset.question_id, len(dataset)))
+        if dataset.question_id != "q1":
+            raise corpus.CorpusError(f"{dataset.question_id} failed")
+        return dataset.question_id
+
+    with pytest.raises(corpus.CorpusError) as raised:
+        cli._per_question(answers, DEFAULT_STOPWORDS, work)
+    assert seen == [("q10", 1), ("q2", 1), ("q1", 1)]
+    assert str(raised.value) == "q10 failed\nq2 failed"
+    assert cli._per_question(answers, DEFAULT_STOPWORDS, lambda d: d.question_id) == [
+        "q10", "q2", "q1"
+    ]
 
 
 @pytest.mark.parametrize(
