@@ -113,12 +113,6 @@ def _load_answers(path: Path, parse: Callable[[str, str], _R]) -> _R:
     return _load(path, lambda text: parse(text, format))
 
 
-def _load_prep(stopwords_path: str | None) -> frozenset[str]:
-    if stopwords_path is None:
-        return textprep.DEFAULT_STOPWORDS
-    return _load(Path(stopwords_path), textprep.parse_stopword_file)
-
-
 class UsageError(Exception):
     """An option or environment setting the command cannot use (exit 2)."""
 
@@ -142,11 +136,15 @@ def _trained_at() -> str:
 
 
 def _per_question(
-    answers: str, stopwords: frozenset[str], work: Callable[..., _R]
+    answers: str, stopwords_path: str | None, work: Callable[..., _R]
 ) -> list[_R]:
-    """``work`` on each question's dataset, in question order. An error that
+    """``work`` on each question's dataset, in question order, built with the
+    stopword file's list, or the default list if there is none. An error that
     is not a CorpusError is raised at once; once every question has run, one
     CorpusError reports every question that failed."""
+    stopwords = textprep.DEFAULT_STOPWORDS
+    if stopwords_path is not None:
+        stopwords = _load(Path(stopwords_path), textprep.parse_stopword_file)
     records = _load_answers(Path(answers), corpus.parse_answer_file)
     results: list[_R] = []
     failures: list[corpus.CorpusError] = []
@@ -162,7 +160,6 @@ def _per_question(
 
 def cmd_train(args: argparse.Namespace) -> int:
     trained_at = _trained_at()
-    stopwords = _load_prep(args.stopwords)
 
     def train(dataset: corpus.QuestionDataset) -> tuple[str, str, str]:
         """(file name, tree text, summary line)."""
@@ -188,7 +185,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     # Every question runs first, so a question that fails leaves no output.
-    outputs = _per_question(args.answers, stopwords, train)
+    outputs = _per_question(args.answers, args.stopwords, train)
     out_dir = Path(args.out)
     _atomic_write({out_dir / name: text for name, text, _ in outputs})
     for _, _, line in outputs:
@@ -219,24 +216,17 @@ def _load_trees(trees_dir: str) -> dict[str, dtree.DecisionTree]:
 _BLANK = dtree.Classification(corpus.Label.INCORRECT, 1.0, (), None, False)
 
 
-def _classify(
-    tree: dtree.DecisionTree, answer: str, dropped: frozenset[str]
-) -> dtree.Classification:
-    """``classify(tree, preprocess(answer, stopwords))`` for ``dropped =
-    tree.vocabulary & stopwords``: the walk looks up only the tree's words,
-    so only those stopwords need to leave the answer's word set."""
+def _classify(tree: dtree.DecisionTree, answer: str) -> dtree.Classification:
+    """``classify(tree, preprocess(answer, stopwords))`` for the stopwords the
+    tree was trained with: it tests none of them, so they need not leave the
+    answer's word set."""
     if not answer.strip():
         return _BLANK
-    features = frozenset(textprep.words(answer))
-    if dropped:  # the tree was trained with other stopwords
-        features -= dropped
-    return dtree.classify(tree, features)
+    return dtree.classify(tree, frozenset(textprep.words(answer)))
 
 
 def cmd_grade(args: argparse.Namespace) -> int:
-    stopwords = _load_prep(args.stopwords)
-    loaded = _load_trees(args.trees)
-    trees = {q: (tree, tree.vocabulary & stopwords) for q, tree in loaded.items()}
+    trees = _load_trees(args.trees)
     # writerow returns what write returns, and str hands back the very line.
     to_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     # Results are shared per tree leaf and kept alive by their tree (_BLANK by
@@ -249,10 +239,10 @@ def cmd_grade(args: argparse.Namespace) -> int:
         the bytes of the six-field row, as CSV quotes each field on its own."""
         question_id, answer = row
         try:
-            tree, dropped = trees[question_id]
+            tree = trees[question_id]
         except KeyError:
             raise ValueError(f"no trained tree for question {question_id!r}") from None
-        result = _classify(tree, answer, dropped)
+        result = _classify(tree, answer)
         tail = tails.get(id(result))
         if tail is None:
             certainty = result.certainty
@@ -276,8 +266,6 @@ def cmd_grade(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    stopwords = _load_prep(args.stopwords)
-
     def evaluate(dataset: corpus.QuestionDataset) -> evaluation.QuestionRow | str:
         """The question's report row, or why it was skipped."""
         if len(dataset) < args.k:
@@ -293,7 +281,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
 
     rows = []
-    for result in _per_question(args.answers, stopwords, evaluate):
+    for result in _per_question(args.answers, args.stopwords, evaluate):
         if isinstance(result, str):
             print(result, file=sys.stderr)
         else:
@@ -328,9 +316,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    stopwords = _load_prep(args.stopwords)
     tree = _load(Path(args.tree), dtree.deserialize_tree)
-    print(dtree.explain(_classify(tree, args.answer, tree.vocabulary & stopwords)))
+    print(dtree.explain(_classify(tree, args.answer)))
     return 0
 
 
@@ -366,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_CERTAINTY_THRESHOLD,
         help="flag answers below this certainty for human audit",
     )
-    _add_stopwords_flag(grade)
     grade.set_defaults(func=cmd_grade)
 
     evaluate = sub.add_parser("evaluate", help="k-fold cross-validation report")
@@ -388,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser("explain", help="show a tree's reasoning for one answer")
     explain.add_argument("--tree", required=True, help="tree document (JSON)")
     explain.add_argument("--answer", required=True, help="answer text to classify")
-    _add_stopwords_flag(explain)
     explain.set_defaults(func=cmd_explain)
     return parser
 
@@ -400,6 +385,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            # argparse before Python 3.13 reads an option's value "--" as [].
+            if value == []:
+                option = "--" + name.replace("_", "-")
+                raise UsageError(f"{option}: this Python cannot read the value '--'")
+        for name in ("answers", "out", "trees", "tree", "fixture", "stopwords"):
+            # Path("") is the working directory.
+            if getattr(args, name, None) == "":
+                raise UsageError(f"--{name} must not be empty")
         if not 0.0 <= getattr(args, "threshold", 0.0) <= 1.0:
             raise UsageError("--threshold must be in [0, 1]")
         if not 0.0 <= getattr(args, "min_gain", 0.0) < math.inf:

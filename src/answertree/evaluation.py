@@ -16,7 +16,7 @@ import random
 import re
 from typing import NamedTuple
 
-from .corpus import Label, QuestionDataset, read_rows
+from .corpus import CorpusError, Label, QuestionDataset, read_rows
 from .dtree import build_tree, classify
 
 GRADE_BAND = (0.40, 0.60)
@@ -324,5 +324,11 @@ def _fixture_row(row: list[str]) -> QuestionRow:
 
 def rows_from_fixture_csv(content: str) -> list[QuestionRow]:
     """Read precomputed per-question results (the report CSV schema); a bad
-    row raises CorpusError naming it."""
-    return read_rows(content, "csv", REPORT_CSV_HEADER, _fixture_row)
+    row raises CorpusError naming it, and so does a question listed twice."""
+    rows = read_rows(content, "csv", REPORT_CSV_HEADER, _fixture_row)
+    seen: set[str] = set()
+    for row in rows:
+        if row.question_id in seen:
+            raise CorpusError(f"question {row.question_id!r} is listed more than once")
+        seen.add(row.question_id)
+    return rows

@@ -563,7 +563,7 @@ THE_SPLITS = "question_id,answer,label\n" + "".join(
 )
 
 
-def test_grade_with_the_stopwords_a_tree_was_not_trained_with(
+def test_grade_classifies_as_the_stopwords_each_tree_was_trained_with(
     tmp_path, reproducible_clock, example_tree_path
 ):
     trees = tmp_path / "trees"
@@ -578,14 +578,12 @@ def test_grade_with_the_stopwords_a_tree_was_not_trained_with(
         ("Q52", "the papillary muscles"), ("Q52", "papillary muscles of the heart"),
     ]
     ungraded = _batch_file(tmp_path / "new.csv", rows)
-    graded = []
-    for flag, stopwords in (([], DEFAULT_STOPWORDS), (["--stopwords", none], frozenset())):
-        out = tmp_path / f"graded-{len(stopwords)}.csv"
-        argv = ["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]
-        assert main(argv + flag) == 0
-        graded.append(out.read_bytes())
-        assert graded[-1] == _rows_formatted_from_classify(trees, rows, "0.7", stopwords)
-    assert graded[0] != graded[1]
+    out = tmp_path / "graded.csv"
+    assert main(["grade", "--trees", str(trees), "--answers", ungraded, "--out", str(out)]) == 0
+    # Q52's tree, trained with the default list, tests none of its words.
+    assert out.read_bytes() == _rows_formatted_from_classify(trees, rows, "0.7", frozenset())
+    # The default list would hide "the" from q1's tree.
+    assert out.read_bytes() != _rows_formatted_from_classify(trees, rows, "0.7")
 
 
 WORDS = ["the", "a", "of", "mitral", "valve", "cusp", "septum", "l4"]
@@ -603,39 +601,88 @@ stopword_sets = st.one_of(
 
 
 @st.composite
+def training_sets(draw):
+    """Graded q1 records and the stopwords to train them with: THE_SPLITS
+    with no stopwords, whose tree tests "the", or distinct answers in
+    ``WORDS`` with any stopwords."""
+    if draw(st.booleans()):
+        return corpus.parse_answer_file(THE_SPLITS, "csv"), frozenset()
+    texts = draw(st.lists(
+        st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
+        min_size=1, max_size=12, unique=True,
+    ))
+    labels = st.sampled_from(list(corpus.Label))
+    records = [corpus.AnswerRecord("q1", text, draw(labels)) for text in texts]
+    return records, draw(stopword_sets)
+
+
+@st.composite
 def question_trees(draw, example_tree_path):
-    """The example tree, a tree trained with no stopwords that tests "the",
-    or a tree trained with any stopwords on distinct answers in ``WORDS``."""
-    kind = draw(st.sampled_from(["example", "the", "any"]))
-    if kind == "example":
-        return deserialize_tree(example_tree_path.read_text(encoding="utf-8"))
-    if kind == "the":
-        records, stopwords = corpus.parse_answer_file(THE_SPLITS, "csv"), frozenset()
-    else:
-        texts = draw(st.lists(
-            st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(" ".join),
-            min_size=1, max_size=12, unique=True,
-        ))
-        labels = st.sampled_from(list(corpus.Label))
-        records = [corpus.AnswerRecord("q1", text, draw(labels)) for text in texts]
-        stopwords = draw(stopword_sets)
-    return dtree.build_tree(corpus.build_question_dataset(records, "q1", stopwords))
+    """A tree and the stopwords it was trained with: the example tree and the
+    default list, or a tree trained on ``training_sets``."""
+    if draw(st.integers(0, 2)) == 0:
+        return deserialize_tree(example_tree_path.read_text(encoding="utf-8")), DEFAULT_STOPWORDS
+    records, stopwords = draw(training_sets())
+    return dtree.build_tree(corpus.build_question_dataset(records, "q1", stopwords)), stopwords
 
 
 @settings(max_examples=300)
-@given(data=st.data(), text=answer_texts, stopwords=stopword_sets)
-def test_classify_of_an_answers_words_equals_classify_of_its_word_set(
-    example_tree_path, data, text, stopwords
+@given(data=st.data(), text=answer_texts)
+def test_classify_of_an_answers_words_equals_classify_with_the_training_stopwords(
+    example_tree_path, data, text
 ):
-    tree = data.draw(question_trees(example_tree_path))
+    tree, stopwords = data.draw(question_trees(example_tree_path))
     assert preprocess(text, stopwords) == frozenset(textprep.words(text)) - stopwords
     # Each side grades a copy with no leaf result kept from the other.
-    got = cli._classify(dtree.DecisionTree(*tree), text, tree.vocabulary & stopwords)
+    got = cli._classify(dtree.DecisionTree(*tree), text)
     if text.strip():
         want = classify(dtree.DecisionTree(*tree), preprocess(text, stopwords))
     else:
         want = cli._BLANK
     assert got._asdict() == want._asdict()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    training=training_sets(),
+    # Answers a CSV batch and argv hold as they are: a file is read with its
+    # CRs as LFs, csv.reader on Python 3.10 rejects a NUL, and argparse
+    # before 3.13 cannot read the value "--".
+    answers=st.lists(
+        answer_texts.map(lambda text: text.replace("\0", "").replace("\r", ""))
+        .filter(lambda text: text != "--"),
+        min_size=1, max_size=6,
+    ),
+)
+def test_grade_and_explain_with_no_list_classify_as_the_training_stopwords(training, answers):
+    records, stopwords = training
+    rows = [("q1", answer) for answer in answers]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        graded = io.StringIO()
+        csv.writer(graded, lineterminator="\n").writerows(
+            [CSV_HEADER, *((r.question_id, r.raw_text, r.label.value) for r in records)]
+        )
+        train = [
+            "train", "--answers", write(work / "answers.csv", graded.getvalue()),
+            "--out", str(work / "trees"),
+            "--stopwords", write(work / "stop.txt", "".join(f"{w}\n" for w in ["#", *stopwords])),
+        ]
+        out = work / "graded.csv"
+        grade = ["grade", "--trees", str(work / "trees"),
+                 "--answers", _batch_file(work / "new.csv", rows), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(train) == 0
+            assert main(grade) == 0
+        assert out.read_bytes() == _rows_formatted_from_classify(work / "trees", rows, "0.7", stopwords)
+        path = work / "trees" / "q1.tree.json"
+        tree = deserialize_tree(path.read_text(encoding="utf-8"))
+        for answer in answers:
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                assert main(["explain", "--tree", str(path), f"--answer={answer}"]) == 0
+            result = classify(tree, preprocess(answer, stopwords)) if answer.strip() else cli._BLANK
+            assert printed.getvalue() == dtree.explain(result) + "\n"
 
 
 def test_grade_unknown_question_after_repeated_rows_is_exit_1(
@@ -1020,15 +1067,15 @@ def test_byte_order_mark_is_read_as_utf8(tmp_path, reproducible_clock, example_t
         (directory / "trees" / "Q52.tree.json").write_bytes(
             prefix + example_tree_path.read_bytes()
         )
-        stopwords = ["--stopwords", str(directory / "stop.txt")]
         assert main(
             ["train", "--answers", str(directory / "answers.csv"),
-             "--out", str(directory / "trained"), *stopwords]
+             "--out", str(directory / "trained"),
+             "--stopwords", str(directory / "stop.txt")]
         ) == 0
         assert main(
             ["grade", "--trees", str(directory / "trees"),
              "--answers", str(directory / "new.csv"),
-             "--out", str(directory / "graded.csv"), *stopwords]
+             "--out", str(directory / "graded.csv")]
         ) == 0
     for name in ("trained/q1.tree.json", "trained/q2.tree.json", "graded.csv"):
         assert (plain / name).read_bytes() == (marked / name).read_bytes(), name
@@ -1421,10 +1468,10 @@ def test_per_question_runs_every_question_once_in_file_order(tmp_path):
         return dataset.question_id
 
     with pytest.raises(corpus.CorpusError) as raised:
-        cli._per_question(answers, DEFAULT_STOPWORDS, work)
+        cli._per_question(answers, None, work)
     assert seen == [("q10", 1), ("q2", 1), ("q1", 1)]
     assert str(raised.value) == "q10 failed\nq2 failed"
-    assert cli._per_question(answers, DEFAULT_STOPWORDS, lambda d: d.question_id) == [
+    assert cli._per_question(answers, None, lambda d: d.question_id) == [
         "q10", "q2", "q1"
     ]
 
@@ -1490,6 +1537,18 @@ def test_stats_bad_fixture_is_exit_1(tmp_path, capsys):
     assert main(["stats", "--fixture", bad, "--out", str(tmp_path / "o.json")]) == 1
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith(f"{bad}: bad CSV header ['a', 'b'], expected question_id,")
+
+
+def test_stats_fixture_listing_questions_twice_is_a_one_line_error(
+    tmp_path, capsys, reference_tables_path
+):
+    # Q1-Q3 listed twice would be six questions, and correlations over n=6.
+    lines = reference_tables_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    fixture = write(tmp_path / "twice.csv", "".join(lines[:4] + lines[1:4]))
+    out = tmp_path / "o.json"
+    assert main(["stats", "--fixture", fixture, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"{fixture}: question 'Q1' is listed more than once\n")
+    assert not out.exists()
 
 
 def test_stats_on_a_header_only_fixture_is_one_exact_line(tmp_path, capsys):
@@ -1855,19 +1914,21 @@ def test_explain_grades_a_blank_answer_as_grade_does(
     )
 
 
-def test_custom_stopword_file(tmp_path, capsys, example_tree_path):
-    # With "muscles" declared a stopword the example answer loses its first
-    # feature and takes the FALSE branches instead. An upper-case entry
+def test_custom_stopword_file(tmp_path):
+    # "muscles" alone tells the correct answers from the incorrect ones, so
+    # the tree tests it unless it is declared a stopword. An upper-case entry
     # matches too: answers are lower-cased before the stopword check.
-    for entry in ("muscles", "MUSCLES"):
+    answers = write(tmp_path / "answers.csv", "question_id,answer,label\n" + "".join(
+        f"q1,{text} muscles,correct\nq1,{text},incorrect\n" for text in ("papillary", "chordae")
+    ))
+    for entry in ("# none", "muscles", "MUSCLES"):
         stopwords = write(tmp_path / "stop.txt", f"{entry}\n")
+        out = tmp_path / f"trees-{entry.strip('# ')}"
         assert main(
-            [
-                "explain", "--tree", str(example_tree_path),
-                "--answer", "papillary muscles", "--stopwords", stopwords,
-            ]
+            ["train", "--answers", answers, "--out", str(out), "--stopwords", stopwords]
         ) == 0
-        assert "answer is incorrect" in capsys.readouterr().out
+        tree = deserialize_tree((out / "q1.tree.json").read_text(encoding="utf-8"))
+        assert ("muscles" in tree.vocabulary) is (entry == "# none"), entry
 
 
 @pytest.mark.parametrize("entry", ["don't", "x-ray", "\u00e9t\u00e9", "two words"])
@@ -1894,13 +1955,91 @@ def test_missing_input_file_is_exit_1(tmp_path, capsys):
     assert "nope.csv" in capsys.readouterr().err
 
 
-def test_usage_errors_exit_2(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["explain", "--tree", "t.json", "--answer=--"],
+     ["stats", "--fixture=--", "--out", "o.json"],
+     ["grade", "--trees", "t", "--answers", "a.csv", "--out", "o.csv", "--threshold=--"],
+     ["evaluate", "--answers", "a.csv", "--out", "o", "--k=--"],
+     ["train", "--answers", "a.csv", "--out", "o", "--min-gain=--"]],
+    ids=["answer", "fixture", "threshold", "k", "min-gain"],
+)
+def test_an_option_valued_dash_dash_is_no_traceback(tmp_path, capsys, monkeypatch, argv):
+    # argparse before Python 3.13 hands the value "--" over as an empty list.
+    monkeypatch.chdir(tmp_path)
+    code = _exit_code(argv)
+    err = capsys.readouterr().err
+    assert code in (1, 2) and len(err.splitlines()) >= 1 and "Traceback" not in err
+    if sys.version_info < (3, 13):
+        option = next(a for a in argv if a.endswith("=--"))[:-3]
+        assert (code, err) == (2, f"{option}: this Python cannot read the value '--'\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_usage_errors_exit_2(tmp_path, capsys, example_tree_path):
     with pytest.raises(SystemExit) as excinfo:
         main(["train"])  # missing required flags
     assert excinfo.value.code == 2
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+    # A tree tests no word of the stopwords it was trained with, so grading
+    # takes no stopword list.
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    shutil.copy(example_tree_path, trees / "Q52.tree.json")
+    batch = _batch_file(tmp_path / "new.csv", [("Q52", "papillary muscles")])
+    stopwords = write(tmp_path / "stop.txt", "muscles\n")
+    out = tmp_path / "graded.csv"
+    for argv in (
+        ["grade", "--trees", str(trees), "--answers", batch, "--out", str(out)],
+        ["explain", "--tree", str(example_tree_path), "--answer", "papillary muscles"],
+    ):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--stopwords", stopwords])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --stopwords" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [("train", "--answers"), ("train", "--out"), ("train", "--stopwords"),
+     ("grade", "--trees"), ("grade", "--answers"), ("grade", "--out"),
+     ("evaluate", "--answers"), ("evaluate", "--out"), ("evaluate", "--stopwords"),
+     ("stats", "--fixture"), ("stats", "--out"), ("explain", "--tree")],
+)
+def test_an_empty_path_option_is_a_one_line_usage_error(
+    tmp_path, capsys, monkeypatch, example_tree_path, reference_tables_path, command, option
+):
+    # pathlib reads "" as ".", so an empty --out would write into the
+    # working directory, and an empty input path would read it.
+    answers = write(tmp_path / "answers.csv", EVALUATABLE)
+    stopwords = write(tmp_path / "stop.txt", "wall\n")
+    trees = tmp_path / "trees"
+    trees.mkdir()
+    shutil.copy(example_tree_path, trees / "Q52.tree.json")
+    batch = _batch_file(tmp_path / "new.csv", [("Q52", "papillary muscles")])
+    argv = {
+        "train": ["--answers", answers, "--out", "out", "--stopwords", stopwords],
+        "grade": ["--trees", str(trees), "--answers", batch, "--out", "out.csv"],
+        "evaluate": ["--answers", answers, "--out", "out", "--stopwords", stopwords],
+        "stats": ["--fixture", str(reference_tables_path), "--out", "out.json"],
+        "explain": ["--tree", str(example_tree_path), "--answer", "papillary muscles"],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    assert main([command, *argv]) == 0
+    capsys.readouterr()
+    argv[argv.index(option) + 1] = ""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr() == ("", f"{option} must not be empty\n")
+    assert list(work.iterdir()) == []
 
 
 # Pieces of hostile answer files: the structure characters of CSV and JSON,
@@ -2010,13 +2149,12 @@ def test_train_and_grade_survive_hostile_input(
         batch = work / ("batch" + batch_file[0])
         answers.write_bytes(answers_file[1])
         batch.write_bytes(batch_file[1])
-        stopword_flag = _stopwords_flag(work, stopwords)
         trees, graded = work / "trees", work / "graded.csv"
         codes = {
             _exit_code(["train", "--answers", str(answers), "--out", str(trees),
-                        *stopword_flag, *train_options]),
+                        *_stopwords_flag(work, stopwords), *train_options]),
             _exit_code(["grade", "--trees", str(trees), "--answers", str(batch),
-                        "--out", str(graded), *stopword_flag, *grade_options]),
+                        "--out", str(graded), *grade_options]),
         }
         assert codes <= {0, 1, 2}
         names = {answers.name, batch.name, trees.name, graded.name, "stop.txt"}
@@ -2096,14 +2234,13 @@ def test_evaluate_stats_and_explain_survive_hostile_input(
         answers.write_bytes(answers_file[1])
         fixture.write_bytes(fixture_file[1])
         tree.write_text(tree_text, encoding="utf-8")
-        stopword_flag = _stopwords_flag(work, stopwords)
         report, stats = work / "report", work / "stats.json"
         runs = [
             (["evaluate", "--answers", str(answers), "--k", "2", "--out", str(report),
-              *stopword_flag, *evaluate_options],
+              *_stopwords_flag(work, stopwords), *evaluate_options],
              [report / "report.csv", report / "report.json"]),
             (["stats", "--fixture", str(fixture), "--out", str(stats)], [stats]),
-            (["explain", "--tree", str(tree), "--answer", answer, *stopword_flag], []),
+            (["explain", "--tree", str(tree), "--answer", answer], []),
         ]
         for argv, outputs in runs:
             err = io.StringIO()

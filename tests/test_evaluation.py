@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from answertree.corpus import AnswerRecord, CorpusError, Label, build_question_dataset
 from answertree.evaluation import (
+    REPORT_CSV_HEADER,
     QuestionRow,
     build_report,
     cross_validate,
@@ -404,6 +405,25 @@ def test_rows_from_fixture_csv_validation():
         rows_from_fixture_csv(good_header + "\nQ1,0.5\n")
     with pytest.raises(CorpusError, match="^row 2: empty question_id$"):
         rows_from_fixture_csv(good_header + "\n\n ,0.5,1,1,1,1\n")
+
+
+FIXTURE = ",".join(REPORT_CSV_HEADER) + "\nQ1,0.5,0.85,3,2,1\nQ2,0.6,0.9,5,3,2\nQ3,0.7,0.8,6,4,2\n"
+
+
+@pytest.mark.parametrize(
+    "repeat", ["Q1,0.5,0.85,3,2,1", "Q1,0.9,1,4,3,1"], ids=["identical-line", "same-id"]
+)
+def test_rows_from_fixture_csv_rejects_a_repeated_question(repeat):
+    # Each row is one question: a repeat would count it twice in the summary
+    # and in every correlation.
+    assert [r.question_id for r in rows_from_fixture_csv(FIXTURE)] == ["Q1", "Q2", "Q3"]
+    with pytest.raises(CorpusError, match="^question 'Q1' is listed more than once$"):
+        rows_from_fixture_csv(f"{FIXTURE}{repeat}\n")
+
+
+def test_rows_from_fixture_csv_names_the_first_question_repeated():
+    with pytest.raises(CorpusError, match="^question 'Q3' is listed more than once$"):
+        rows_from_fixture_csv(f"{FIXTURE}Q3,0.7,0.8,6,4,2\nQ1,0.5,0.85,3,2,1\n")
 
 
 def test_fixture_file_loads_54_questions(reference_tables_path):
