@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import errno
 import io
 import math
@@ -16,7 +15,6 @@ import stat
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Callable, TextIO, TypeVar
 
 from . import corpus, dtree, evaluation, textprep
@@ -227,8 +225,6 @@ def _classify(tree: dtree.DecisionTree, answer: str) -> dtree.Classification:
 
 def cmd_grade(args: argparse.Namespace) -> int:
     trees = _load_trees(args.trees)
-    # writerow returns what write returns, and str hands back the very line.
-    to_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
     # Results are shared per tree leaf and kept alive by their tree (_BLANK by
     # this module), so each distinct result's tail is written once, by id.
     tails: dict[int, str] = {}
@@ -236,7 +232,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
     def grade(row: list[str], line: str | None) -> str:
         """A record's output line: its pair written as CSV (a quote-free line
         already is), then ``,label,certainty,flagged,critical_word`` and LF,
-        the bytes of the six-field row, as CSV quotes each field on its own."""
+        the bytes of the six-field row, as ``csv_line`` quotes each field on
+        its own."""
         question_id, answer = row
         try:
             tree = trees[question_id]
@@ -247,21 +244,21 @@ def cmd_grade(args: argparse.Namespace) -> int:
         if tail is None:
             certainty = result.certainty
             flagged = certainty < args.threshold or result.out_of_vocabulary
-            tail = tails[id(result)] = to_line((
+            tail = tails[id(result)] = corpus.csv_line((
                 "",
                 result.label.value,
                 f"{certainty:.4f}",
                 "true" if flagged else "false",
                 result.critical_word or "",
             ))
-        return (to_line(row)[:-1] if line is None else line) + tail
+        return (corpus.csv_line(row)[:-1] if line is None else line) + tail
 
     lines = _load_answers(
         Path(args.answers),
         lambda text, format: corpus.parse_ungraded_file(text, format, grade),
     )
     header = ("question_id", "answer", "label", "certainty", "flagged", "critical_word")
-    _atomic_write({Path(args.out): to_line(header) + "".join(lines)})
+    _atomic_write({Path(args.out): corpus.csv_line(header) + "".join(lines)})
     return 0
 
 

@@ -13,7 +13,7 @@ import json
 from enum import Enum
 from functools import cached_property
 from operator import length_hint
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .textprep import DEFAULT_STOPWORDS, preprocess
 
@@ -134,11 +134,24 @@ def parse_ungraded_file(
 ) -> list[_T]:
     """Read an ungraded answer file as ``read_rows`` does, with ``build(row,
     line)``: ``line`` is the record's own text when it is one CSV line with
-    no '"', CR or NUL, so ``row`` is that line split at its one comma, and
-    None for any other record."""
+    no '"', CR or NUL, so ``row`` is that line split at its one comma and
+    ``csv_line(row)`` is ``line`` and LF; it is None for any other record."""
     if format == "csv":
         return _read_csv(content, UNGRADED_CSV_HEADER, build)
     return read_rows(content, format, UNGRADED_CSV_HEADER, lambda row: build(row, None))
+
+
+def csv_line(fields: Iterable[str]) -> str:
+    """One CSV record of two or more fields, ending in LF: a field holding a
+    comma, '"', CR or LF is quoted, with each '"' doubled, and NUL is written
+    raw: on every Python version, the bytes of 3.13's own CSV writer."""
+    return ",".join(map(_csv_field, fields)) + "\n"
+
+
+def _csv_field(field: str) -> str:
+    if "," in field or '"' in field or "\n" in field or "\r" in field:
+        return '"' + field.replace('"', '""') + '"'
+    return field
 
 
 def read_rows(
@@ -148,9 +161,10 @@ def read_rows(
     graded answer file, an ungraded batch or a per-question results fixture.
 
     A CSV file has ``columns`` as its header; blank lines are skipped but
-    count in row numbers. A JSON file is an array of objects holding every
-    column as a key, each value a string or a number read as its text; a
-    string must encode as UTF-8, so a lone surrogate escape is an error.
+    count in row numbers, and a line holding NUL is an error. A JSON file is
+    an array of objects holding every column as a key, each value a string
+    or a number read as its text; a string must encode as UTF-8, so a lone
+    surrogate escape is an error.
     ``build`` makes each row's item from its fields and raises ValueError on
     a bad one. Identical records share one item, built once, in every
     format: a one-line CSV record is known by its line, and a record that
@@ -209,9 +223,10 @@ def _read_csv(
     record split at commas, as ``csv.reader`` splits it; any other line goes
     to one ``csv.reader``, which pulls the lines its record spans. Row
     numbers and ``CSV line N`` are the ones a ``csv.reader`` on the whole
-    text gives. A one-line record whose line came before is not read again,
-    and a record spanning lines whose fields came before is not built again:
-    each shares the earlier record's item.
+    text gives; a line holding NUL is the error that reader gives on Python
+    3.10, on every version. A one-line record whose line came before is not
+    read again, and a record spanning lines whose fields came before is not
+    built again: each shares the earlier record's item.
     """
     lines = content.split("\n")
     open_end = lines[-1] != ""  # the last line has no newline
@@ -229,6 +244,9 @@ def _read_csv(
                 line = next(rest, None)
                 if line is None:
                     return
+            # An error on every version, as csv.reader makes it on Python 3.10.
+            if "\0" in line:
+                raise csv.Error("line contains NUL")
             # The reader sees each line as a file holds it.
             yield line if open_end and not length_hint(rest) else line + "\n"
 
@@ -318,18 +336,13 @@ def build_question_dataset(
     question_id: str,
     stopwords: frozenset[str] = DEFAULT_STOPWORDS,
 ) -> QuestionDataset:
-    """Build the training dataset for one question.
+    """Build the training dataset for one question from its records, one
+    group of ``group_records``.
 
     The texts are ``validate_dataset``'s: blank answers are dropped and
     exact-duplicate texts collapsed to one sample. Each sample carries its
     preprocessed word set.
     """
-    for record in records:
-        if record.question_id != question_id:
-            raise ValueError(
-                f"record for question {record.question_id!r} passed to dataset "
-                f"{question_id!r}"
-            )
     texts = validate_dataset(records, stopwords)
     if not texts:
         raise CorpusError(f"question {question_id!r}: no non-blank answers to train on")

@@ -8,15 +8,13 @@ incomplete beta function (continued fraction, absolute error well under
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import random
 import re
 from typing import NamedTuple
 
-from .corpus import CorpusError, Label, QuestionDataset, read_rows
+from .corpus import CorpusError, Label, QuestionDataset, csv_line, read_rows
 from .dtree import build_tree, classify
 
 GRADE_BAND = (0.40, 0.60)
@@ -266,21 +264,13 @@ def build_report(rows: list[QuestionRow]) -> EvaluationReport:
 
 
 def report_to_csv(report: EvaluationReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(REPORT_CSV_HEADER)
-    for row in report.rows:
-        writer.writerow(
-            [
-                row.question_id,
-                f"{row.average_grade:.6f}",
-                f"{row.accuracy:.6f}",
-                row.unique_all,
-                row.unique_correct,
-                row.unique_incorrect,
-            ]
-        )
-    return out.getvalue()
+    return csv_line(REPORT_CSV_HEADER) + "".join(
+        csv_line((
+            row.question_id, f"{row.average_grade:.6f}", f"{row.accuracy:.6f}",
+            str(row.unique_all), str(row.unique_correct), str(row.unique_incorrect),
+        ))
+        for row in report.rows
+    )
 
 
 def report_to_json(report: EvaluationReport) -> str:

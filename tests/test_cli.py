@@ -963,9 +963,15 @@ LONG_INT = "9" * 5000
             "question_id,answer,label\nq1,%s,correct\n" % ("x" * 200_000),
             "CSV line 2: field larger than field limit",
         ),
+        (  # on every Python version, as csv.reader makes it on 3.10
+            "train",
+            "answers.csv",
+            'question_id,answer,label\nq1,alpha,correct\nq1,"heart\nval\0ve",correct\n',
+            "CSV line 4: line contains NUL",
+        ),
     ],
     ids=["train-deep-json", "grade-deep-json", "train-long-int", "grade-long-int",
-         "train-huge-csv-field"],
+         "train-huge-csv-field", "train-nul-csv-line"],
 )
 def test_hostile_answer_file_is_a_one_line_error(
     tmp_path, capsys, command, name, content, message
@@ -1108,6 +1114,33 @@ def test_grade_rejects_out_of_range_threshold(tmp_path):
     ) == 2
 
 
+def _csv_rows(path):
+    """The rows csv.reader reads from a file, with each NUL read as one:
+    csv.reader rejects a NUL before Python 3.11, so it reads U+E000 in its
+    place."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = csv.reader(io.StringIO(handle.read().replace("\0", "\ue000"), newline=""))
+        return [[field.replace("\ue000", "\0") for field in row] for row in rows]
+
+
+# A CR in an answer is quoted and a NUL written raw, on every Python version.
+@pytest.mark.parametrize("answer, written", [
+    ("heart\rvalve", '"heart\rvalve"'), ("heart\0valve", "heart\0valve"),
+], ids=["cr", "nul"])
+def test_grade_writes_a_json_answer_holding_cr_or_nul_as_one_record(
+    tmp_path, reproducible_clock, example_tree_path, answer, written
+):
+    trees = _trees_with_example(tmp_path, example_tree_path)
+    batch = write(tmp_path / "new.json", json.dumps([{"question_id": "q1", "answer": answer}]))
+    out = tmp_path / "graded.csv"
+    assert main(["grade", "--trees", str(trees), "--answers", batch, "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        "question_id,answer,label,certainty,flagged,critical_word\n"
+        f"q1,{written},incorrect,1.0000,true,\n"
+    ).encode("utf-8")
+    assert _csv_rows(out)[1][:2] == ["q1", answer]
+
+
 # "the wall" and "wall" share a word set but not a label.
 WALL = """question_id,answer,label
 q1,the wall,correct
@@ -1139,6 +1172,26 @@ def test_evaluate_writes_reports(tmp_path, capsys):
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[1].startswith("q1,0.500000,1.000000,")
     assert "mean accuracy 1.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("question_id", ["q\r1", "q\u00001"], ids=["cr", "nul"])
+def test_evaluate_writes_a_json_question_id_holding_cr_or_nul_as_one_row(
+    tmp_path, capsys, question_id
+):
+    records = [
+        {"question_id": qid, "answer": f"{word} {n}", "label": label}
+        for qid in (question_id, "q2")
+        for word, label in (("alpha", "correct"), ("beta", "incorrect"))
+        for n in (1, 2)
+    ]
+    answers = write(tmp_path / "answers.json", json.dumps(records))
+    out = tmp_path / "report"
+    assert main(["evaluate", "--answers", answers, "--k", "2", "--out", str(out)]) == 0
+    rows = _csv_rows(out / "report.csv")
+    assert rows[0] == REPORT_CSV_HEADER
+    assert sorted(row[0] for row in rows[1:]) == sorted([question_id, "q2"])
+    assert {len(row) for row in rows} == {len(REPORT_CSV_HEADER)}
+    assert capsys.readouterr().err == ""
 
 
 def test_evaluate_skips_undersized_questions(tmp_path, capsys):
